@@ -16,9 +16,6 @@ use spmap_model::Platform;
 
 use crate::listsched::{run_list_scheduler, CostTables, ListScheduleResult};
 
-/// Result alias: HEFT and PEFT share the list-scheduler output shape.
-pub type HeftResult = ListScheduleResult;
-
 /// Upward ranks for all tasks (exposed for tests and diagnostics).
 pub fn upward_ranks(g: &TaskGraph, ct_mean_exec: &[f64], ct_mean_comm: &[f64]) -> Vec<f64> {
     let order = ops::topo_order(g).expect("task graphs are DAGs");
@@ -36,7 +33,7 @@ pub fn upward_ranks(g: &TaskGraph, ct_mean_exec: &[f64], ct_mean_comm: &[f64]) -
 
 /// Run HEFT, returning the mapping, the internal schedule estimate, and
 /// the scheduling order.
-pub fn heft(g: &TaskGraph, p: &Platform) -> HeftResult {
+pub fn heft(g: &TaskGraph, p: &Platform) -> ListScheduleResult {
     let ct = CostTables::new(g, p);
     let rank = upward_ranks(g, &ct.mean_exec, &ct.mean_comm);
     run_list_scheduler(g, p, &ct, &rank, |_, _| 0.0)

@@ -26,6 +26,6 @@ pub mod heft;
 pub mod listsched;
 pub mod peft;
 
-pub use heft::{heft, HeftResult};
+pub use heft::heft;
 pub use listsched::{CostTables, ListScheduleResult};
 pub use peft::peft;

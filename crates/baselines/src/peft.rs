@@ -17,8 +17,7 @@
 use spmap_graph::{ops, TaskGraph};
 use spmap_model::{DeviceId, Platform};
 
-use crate::heft::HeftResult;
-use crate::listsched::{run_list_scheduler, CostTables};
+use crate::listsched::{run_list_scheduler, CostTables, ListScheduleResult};
 
 /// The optimistic cost table, row-major `oct[v * m + d]` (exposed for
 /// tests and diagnostics).
@@ -47,7 +46,7 @@ pub fn optimistic_cost_table(g: &TaskGraph, p: &Platform, ct: &CostTables) -> Ve
 
 /// Run PEFT, returning the mapping, the internal schedule estimate, and
 /// the scheduling order.
-pub fn peft(g: &TaskGraph, p: &Platform) -> HeftResult {
+pub fn peft(g: &TaskGraph, p: &Platform) -> ListScheduleResult {
     let ct = CostTables::new(g, p);
     let m = p.device_count();
     let oct = optimistic_cost_table(g, p, &ct);

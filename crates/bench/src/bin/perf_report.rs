@@ -29,16 +29,6 @@
 //! the engine statistics.  `--full` adds the 1024/2048-node sweep
 //! points that the serial GA baseline previously made impractical.
 //!
-//! The GA's N-thread row is additionally measured under **both**
-//! parallel backends — the persistent worker pool (`SPMAP_POOL`
-//! default) and the original per-call scoped spawns — because the GA is
-//! the small-batch workload the pool exists for: roughly one parallel
-//! batch per generation, so scoped dispatch pays `(threads − 1)` thread
-//! spawns per generation where the pool pays condvar wakes of parked
-//! workers.  Results are asserted bit-identical across the backends,
-//! and the binary **fails** if the pooled row loses to the scoped row
-//! (beyond a small timer-noise allowance) — the pool CI perf gate.
-//!
 //! The GA is also measured under **both evaluation orders** of the
 //! population engine: the prefix-sharing trie order (default; rolling
 //! checkpoint trails over the genome trie's DFS walk) against the flat
@@ -133,7 +123,6 @@ use spmap_model::{
     EvalScratch, EvalTables, Mapping, Platform, ScheduleCheckpoints,
     DEFAULT_CHECKPOINT_BUDGET_BYTES,
 };
-use spmap_par::{with_backend, ParBackend};
 
 /// GA generation budget of the `ga` rows: the paper's §IV-A default in
 /// real runs, trimmed for the `--quick` CI smoke.
@@ -555,22 +544,20 @@ fn run_service(opts: &Opts) {
 
     // ---- bit-identity across shard counts, cache temperature and
     //      concurrency (asserted on every box, gated nowhere) ----
-    // Explicit 1- and 2-shard pools under the pool backend: the shard
-    // layout may move work between threads but never change a mapping.
+    // Explicit 1- and 2-shard pools: the shard layout may move work
+    // between threads but never change a mapping.
     for shard_count in [1usize, 2] {
         let pool = Arc::new(Pool::with_shards(shard_count));
         with_pool(&pool, || {
-            spmap_par::with_backend(spmap_par::ParBackend::Pool, || {
-                let service = service_for_load(1);
-                for (i, req) in requests.iter().enumerate() {
-                    let cold = service.map(req).expect("identity run admitted");
-                    let warm = service.map(req).expect("identity run admitted");
-                    assert!(!cold.cache_hit && warm.cache_hit);
-                    let label = format!("{shard_count}-shard pool, graph {i}");
-                    assert_identical(&format!("{label} (cold)"), &cold.result, &references[i]);
-                    assert_identical(&format!("{label} (warm)"), &warm.result, &references[i]);
-                }
-            })
+            let service = service_for_load(1);
+            for (i, req) in requests.iter().enumerate() {
+                let cold = service.map(req).expect("identity run admitted");
+                let warm = service.map(req).expect("identity run admitted");
+                assert!(!cold.cache_hit && warm.cache_hit);
+                let label = format!("{shard_count}-shard pool, graph {i}");
+                assert_identical(&format!("{label} (cold)"), &cold.result, &references[i]);
+                assert_identical(&format!("{label} (warm)"), &warm.result, &references[i]);
+            }
         });
     }
     println!("identity: cold/warm x {{1,2}}-shard pools bit-identical to the direct mapper");
@@ -1218,11 +1205,8 @@ struct GaMeasurement {
     serial_seconds: f64,
     serial_evaluations: u64,
     batch1_seconds: f64,
-    /// N-thread row on the persistent pool (the production default).
+    /// N-thread row on the persistent pool.
     batchn_seconds: f64,
-    /// The same N-thread row on per-call scoped spawns — what the pool
-    /// is gated against.
-    scoped_seconds: f64,
     /// The same N-thread pooled row under the flat PR 3 nearest-base
     /// evaluation order — what the trie order is gated against.
     nearest_seconds: f64,
@@ -1246,8 +1230,6 @@ struct GaMeasurement {
     /// Pool batches / parked-worker wakes of the pooled row.
     pool_batches: u64,
     pool_dispatches: u64,
-    /// Thread spawns the scoped row paid for the same batches.
-    scoped_spawns: u64,
 }
 
 impl GaMeasurement {
@@ -1257,12 +1239,6 @@ impl GaMeasurement {
 
     fn speedup_nt(&self) -> f64 {
         self.serial_seconds / self.batchn_seconds
-    }
-
-    /// How much the persistent pool wins over scoped spawns on this
-    /// small-batch workload (> 1 = pool faster).
-    fn pool_vs_scoped(&self) -> f64 {
-        self.scoped_seconds / self.batchn_seconds
     }
 
     /// How much the trie evaluation order wins over the flat
@@ -1315,9 +1291,8 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
     };
     let trie = |t: Option<usize>| cfg(t, EvalOrder::PrefixTrie);
 
-    // Gated rows are timed twice and keep the minimum: the gates
-    // compare ~5 % margins, and single runs on shared CI boxes swing
-    // more than that.  Runs are bit-identical by construction, so
+    // Gated rows are timed twice and keep the minimum: single runs on
+    // shared CI boxes swing by more than the margins the gates compare.  Runs are bit-identical by construction, so
     // re-running only steadies the clock.
     fn timed2<T>(mut f: impl FnMut() -> T) -> (f64, T) {
         let t0 = Instant::now();
@@ -1334,26 +1309,14 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
     let t1 = Instant::now();
     let batch1 = nsga2_map(&g, &p, &trie(Some(1)));
     let batch1_seconds = t1.elapsed().as_secs_f64();
-    // The N-thread row, once per parallel backend.  Scoped first so the
-    // pool's lazily spawned workers cannot warm anything for it.
-    let (scoped_seconds, scoped) = timed2(|| {
-        with_backend(ParBackend::Scoped, || {
-            nsga2_map(&g, &p, &trie(Some(threads)))
-        })
-    });
-    let (batchn_seconds, batchn) =
-        timed2(|| with_backend(ParBackend::Pool, || nsga2_map(&g, &p, &trie(Some(threads)))));
-    // The same pooled N-thread row under the flat PR 3 nearest-base
-    // order: the baseline the trie evaluation order is gated against.
-    let (nearest_seconds, nearest) = timed2(|| {
-        with_backend(ParBackend::Pool, || {
-            nsga2_map(&g, &p, &cfg(Some(threads), EvalOrder::NearestBase))
-        })
-    });
+    let (batchn_seconds, batchn) = timed2(|| nsga2_map(&g, &p, &trie(Some(threads))));
+    // The same N-thread row under the flat PR 3 nearest-base order: the
+    // baseline the trie evaluation order is gated against.
+    let (nearest_seconds, nearest) =
+        timed2(|| nsga2_map(&g, &p, &cfg(Some(threads), EvalOrder::NearestBase)));
 
     for (tag, r) in [
         ("1 thread", &batch1),
-        ("N threads scoped", &scoped),
         ("N threads pool", &batchn),
         ("N threads nearest-base", &nearest),
     ] {
@@ -1377,21 +1340,6 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         );
     }
 
-    // The backend must not change a single decision: same stats, and
-    // the dispatch counters prove which transport ran the batches.
-    assert_eq!(
-        scoped.engine, batchn.engine,
-        "backend changed the GA's decisions"
-    );
-    assert_eq!(
-        scoped.dispatch.pool_batches, 0,
-        "scoped row ran on the pool"
-    );
-    assert_eq!(
-        batchn.dispatch.scoped_batches, 0,
-        "pooled row ran on scoped spawns"
-    );
-
     GaMeasurement {
         nodes: g.node_count(),
         edges: g.edge_count(),
@@ -1400,11 +1348,9 @@ fn measure_ga(nodes: usize, seed: u64, threads: usize, generations: usize) -> Ga
         serial_evaluations: serial.evaluations,
         batch1_seconds,
         batchn_seconds,
-        scoped_seconds,
         nearest_seconds,
         pool_batches: batchn.dispatch.pool_batches,
         pool_dispatches: batchn.dispatch.pool_dispatches,
-        scoped_spawns: scoped.dispatch.scoped_spawns,
         batchn_evaluations: batchn.evaluations,
         positions: batchn.positions,
         nearest_positions: nearest.positions,
@@ -1439,14 +1385,8 @@ fn print_ga_row(m: &GaMeasurement) {
         100.0 * m.memo_hit_rate(),
     );
     println!(
-        "       pool {:>6.2}s vs scoped {:>6.2}s = {:>5.2}x  \
-         ({} pool batches, {} wakes vs {} thread spawns)",
-        m.batchn_seconds,
-        m.scoped_seconds,
-        m.pool_vs_scoped(),
-        m.pool_batches,
-        m.pool_dispatches,
-        m.scoped_spawns,
+        "       pool {:>6.2}s ({} pool batches, {} wakes)",
+        m.batchn_seconds, m.pool_batches, m.pool_dispatches,
     );
     println!(
         "       trie {:>6.2}s vs nearest-base {:>6.2}s = {:>5.2}x  \
@@ -1652,46 +1592,10 @@ fn main() {
         ga_best >= 1.0,
         "engine-backed GA slower than the serial reference GA: {ga_best:.2}x"
     );
-    // The pool perf gate: on the GA's one-small-batch-per-generation
-    // workload, the persistent pool must not lose to per-call scoped
-    // spawns — that workload is exactly what the pool exists for.  A 5%
-    // allowance absorbs wall-clock timer noise on shared CI runners;
-    // the expected margin is well above it (each generation's scoped
-    // dispatch pays `threads − 1` thread spawns, the pool pays condvar
-    // wakes of parked workers).  The gate covers the standard sizes
-    // (≤ 506 nodes); `--full`'s 1024/2048-node extensions print their
-    // ratios but are not gated — per-generation batches there are long
-    // enough that dispatch overhead dilutes toward parity, so gating
-    // them would assert ~1.00x against pure timer noise.
-    const POOL_GATE_MAX_NODES: usize = 506;
-    for m in ga_rows.iter().filter(|m| m.nodes <= POOL_GATE_MAX_NODES) {
-        assert!(
-            m.batchn_seconds <= m.scoped_seconds * 1.05,
-            "persistent pool lost to scoped spawns on the small-batch GA workload \
-             ({} nodes): pool {:.3}s vs scoped {:.3}s ({:.2}x)",
-            m.nodes,
-            m.batchn_seconds,
-            m.scoped_seconds,
-            m.pool_vs_scoped(),
-        );
-    }
-    // With an explicit `--sizes` list every row may sit above the pool
-    // gate's node ceiling — then there is no gated row to headline.
-    let pool_head = ga_rows.iter().rfind(|m| m.nodes <= POOL_GATE_MAX_NODES);
-    if let Some(pool_head) = pool_head {
-        println!(
-            "ga pool-vs-scoped ({} nodes, {} generations): pool {:.2}s vs scoped {:.2}s = {:.2}x \
-             ({} pool batches / {} wakes vs {} thread spawns)",
-            pool_head.nodes,
-            pool_head.generations,
-            pool_head.batchn_seconds,
-            pool_head.scoped_seconds,
-            pool_head.pool_vs_scoped(),
-            pool_head.pool_batches,
-            pool_head.pool_dispatches,
-            pool_head.scoped_spawns,
-        );
-    }
+    // The wall-clock GA gates below cover the standard sizes (≤ 506
+    // nodes); `--full`'s 1024/2048-node extensions print their ratios
+    // but are not gated.
+    const GATE_MAX_NODES: usize = 506;
     // The trie-order perf gates.  The algorithmic claim — per
     // candidate the trie windows from `max(LCP, base window)`, so it
     // replays no more of the schedule than the flat PR 3 nearest-base
@@ -1723,7 +1627,7 @@ fn main() {
     const TRIE_GATE_MIN_NODES: usize = 200;
     for m in ga_rows
         .iter()
-        .filter(|m| (TRIE_GATE_MIN_NODES..=POOL_GATE_MAX_NODES).contains(&m.nodes))
+        .filter(|m| (TRIE_GATE_MIN_NODES..=GATE_MAX_NODES).contains(&m.nodes))
     {
         assert!(
             m.batchn_seconds <= m.nearest_seconds * 1.25,
@@ -1745,7 +1649,7 @@ fn main() {
     // while leaving headroom for graph-shape noise.
     if let Some(m) = ga_rows
         .iter()
-        .rfind(|m| (500..=POOL_GATE_MAX_NODES).contains(&m.nodes))
+        .rfind(|m| (500..=GATE_MAX_NODES).contains(&m.nodes))
     {
         assert!(
             m.windowed_skip_rate() >= 0.30,
@@ -1837,8 +1741,6 @@ fn main() {
         );
         let _ = writeln!(json, "      \"batch1_seconds\": {:.6},", m.batch1_seconds);
         let _ = writeln!(json, "      \"batchn_seconds\": {:.6},", m.batchn_seconds);
-        let _ = writeln!(json, "      \"scoped_seconds\": {:.6},", m.scoped_seconds);
-        let _ = writeln!(json, "      \"pool_vs_scoped\": {:.3},", m.pool_vs_scoped());
         let _ = writeln!(json, "      \"nearest_seconds\": {:.6},", m.nearest_seconds);
         let _ = writeln!(
             json,
@@ -1847,7 +1749,6 @@ fn main() {
         );
         let _ = writeln!(json, "      \"pool_batches\": {},", m.pool_batches);
         let _ = writeln!(json, "      \"pool_dispatches\": {},", m.pool_dispatches);
-        let _ = writeln!(json, "      \"scoped_spawns\": {},", m.scoped_spawns);
         let _ = writeln!(
             json,
             "      \"batchn_evaluations\": {},",
@@ -1904,16 +1805,6 @@ fn main() {
         "  \"ga_headline_speedup\": {:.3},",
         ga_head.speedup_nt()
     );
-    match pool_head {
-        Some(h) => {
-            let _ = writeln!(json, "  \"ga_pool_gate_nodes\": {},", h.nodes);
-            let _ = writeln!(json, "  \"ga_pool_vs_scoped\": {:.3},", h.pool_vs_scoped());
-        }
-        None => {
-            let _ = writeln!(json, "  \"ga_pool_gate_nodes\": null,");
-            let _ = writeln!(json, "  \"ga_pool_vs_scoped\": null,");
-        }
-    }
     let _ = writeln!(
         json,
         "  \"ga_trie_vs_nearest\": {:.3},",

@@ -328,7 +328,7 @@ pub fn service_for_load(clients: usize) -> Arc<MapService> {
 mod tests {
     use super::*;
     use spmap_par::pool::Pool;
-    use spmap_par::{with_backend, with_pool, ParBackend};
+    use spmap_par::with_pool;
 
     fn tiny() -> ServiceLoadConfig {
         ServiceLoadConfig {
@@ -417,12 +417,10 @@ mod tests {
         for shards in [1usize, 2] {
             let pool = Arc::new(Pool::with_shards(shards));
             with_pool(&pool, || {
-                with_backend(ParBackend::Pool, || {
-                    let service = service_for_load(cfg.clients);
-                    let _ = warm_up(&service, &requests, &references);
-                    let report = run_phase(&service, &requests, &references, &cfg);
-                    assert_eq!(report.completed, 2);
-                })
+                let service = service_for_load(cfg.clients);
+                let _ = warm_up(&service, &requests, &references);
+                let report = run_phase(&service, &requests, &references, &cfg);
+                assert_eq!(report.completed, 2);
             });
         }
     }

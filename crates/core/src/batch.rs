@@ -484,7 +484,7 @@ pub struct CandidateBatch<'g> {
     stats: BatchStats,
     /// The engine thread's `spmap_par` dispatch counters at
     /// construction; [`Self::dispatch`] diffs against this to report how
-    /// this run's batches were dispatched (serial / scoped / pool).
+    /// this run's batches were dispatched (serial / pool).
     dispatch_base: DispatchStats,
 }
 
@@ -733,12 +733,12 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// How this engine's parallel batches were dispatched so far
-    /// (serial fast path / scoped spawns / persistent-pool wakes) —
-    /// the calling thread's `spmap_par` counters since construction.
-    /// Unlike [`Self::stats`], these counters *do* vary with the thread
-    /// count and backend; that variation is their purpose (they price
-    /// the dispatch overhead a configuration paid), which is why they
-    /// live beside, not inside, the thread-invariant [`BatchStats`].
+    /// (serial fast path / persistent-pool wakes) — the calling
+    /// thread's `spmap_par` counters since construction.  Unlike
+    /// [`Self::stats`], these counters *do* vary with the thread count;
+    /// that variation is their purpose (they price the dispatch overhead
+    /// a configuration paid), which is why they live beside, not inside,
+    /// the thread-invariant [`BatchStats`].
     pub fn dispatch(&self) -> DispatchStats {
         spmap_par::dispatch_stats().since(&self.dispatch_base)
     }
@@ -867,9 +867,11 @@ impl<'g> CandidateBatch<'g> {
                 }
             }
             let chunk = &pending[next..end];
-            // The cutoff a candidate must *strictly* exceed to be proven
-            // useless; ties survive, so index-order tie-breaks hold.
-            let cutoff = if prune { self.cur - cut } else { f64::INFINITY };
+            let cutoff = if prune {
+                abort_cutoff(self.cur, cut)
+            } else {
+                f64::INFINITY
+            };
             let results = self.simulate_chunk(chunk, cutoff);
             for (p, r) in chunk.iter().zip(&results) {
                 self.stats.sched_simulated += u64::from(r.completed);
@@ -985,7 +987,11 @@ impl<'g> CandidateBatch<'g> {
                 }
             }
             let chunk = &pending[next..end];
-            let cutoff = if prune { self.cur - cut } else { f64::INFINITY };
+            let cutoff = if prune {
+                abort_cutoff(self.cur, cut)
+            } else {
+                f64::INFINITY
+            };
             let results = self.simulate_delta_chunk(chunk, deltas, cutoff);
             for (p, r) in chunk.iter().zip(&results) {
                 self.stats.sched_simulated += u64::from(r.completed);
@@ -1564,13 +1570,16 @@ fn sweep_candidate(
         let order = schedules.order(s);
         let from_pos = order.window_start_over(w.undo.iter().map(|&(v, _)| v));
         let running = if best < cutoff { best } else { cutoff };
+        // The window's `finish + up_min` abort test can round a few ulps
+        // above the simulated makespan; the margin keeps it from
+        // aborting a schedule that exactly ties `running`.
         match tables.makespan_order_window(
             &mut w.scratch,
             &w.mapping,
             order,
             checkpoints.get(s),
             from_pos,
-            running,
+            running * (1.0 + BOUND_SLACK),
         ) {
             WindowSim::Done(ms) => {
                 completed += 1;
@@ -1597,6 +1606,17 @@ fn sweep_candidate(
 #[inline]
 fn max_beatable(threshold: f64, incumbent: f64) -> f64 {
     incumbent.max(threshold)
+}
+
+/// The makespan a candidate must *strictly* exceed to be proven unable
+/// to reach improvement `cut`; ties survive, so index-order tie-breaks
+/// hold.  `cur - cut` is rounded, and a candidate whose improvement
+/// `cur - makespan` rounds to exactly `cut` is a tie, so the cutoff is
+/// inflated by [`BOUND_SLACK`] — far above the subtraction's rounding,
+/// far below any makespan gap that decides a winner.
+#[inline]
+fn abort_cutoff(cur: f64, cut: f64) -> f64 {
+    (cur - cut) * (1.0 + BOUND_SLACK)
 }
 
 /// `true` if a candidate with improvement upper bound `bound` provably

@@ -206,11 +206,10 @@ pub struct MapperResult {
     /// equivalence suite.
     pub batch: BatchStats,
     /// How the engine's parallel batches were dispatched (serial fast
-    /// path / scoped spawns / persistent-pool wakes; zero for the
-    /// serial reference path).  Unlike [`MapperResult::batch`] these
-    /// counters intentionally vary with the thread count and the
-    /// `SPMAP_POOL` backend: they price the dispatch overhead the run
-    /// paid.  Covers every search path — exhaustive sweeps and the
+    /// path / persistent-pool wakes; zero for the serial reference
+    /// path).  Unlike [`MapperResult::batch`] these counters
+    /// intentionally vary with the thread count: they price the
+    /// dispatch overhead the run paid.  Covers every search path — exhaustive sweeps and the
     /// γ-threshold speculative waves both dispatch through the same
     /// engine.
     pub dispatch: DispatchStats,
@@ -282,30 +281,17 @@ pub(crate) fn try_decomposition_map_on(
 
 /// Run decomposition-based mapping on *pre-built* shared evaluation
 /// tables (e.g. from a service's artifact cache), skipping table
-/// construction.  Graph and platform are recovered from the tables; the
-/// run is bit-identical to [`try_decomposition_map`] on the same inputs
-/// — the tables are immutable and everything downstream of them is
-/// per-run state.
+/// construction, with an optional candidate-device restriction (see
+/// [`try_decomposition_map_on`] for the exactness argument) — the
+/// driver behind the service and session paths.  Graph and platform are
+/// recovered from the tables; the run is bit-identical to
+/// [`try_decomposition_map`] on the same inputs — the tables are
+/// immutable and everything downstream of them is per-run state.
 ///
 /// # Panics
 ///
 /// If `cfg.engine.numbering` disagrees with the numbering the tables
 /// were built under (see [`CandidateBatch::with_shared_tables`]).
-#[deprecated(
-    note = "route requests through spmap_core::map_request / MapService::map; \
-            this free function bypasses the unified request surface"
-)]
-pub fn try_decomposition_map_with_tables<'g>(
-    tables: &'g spmap_model::EvalTables<'g>,
-    cfg: &MapperConfig,
-) -> Result<MapperResult, MapperError> {
-    try_decomposition_map_with_tables_on(tables, cfg, None)
-}
-
-/// The shared pre-built-tables driver behind the service and session
-/// paths: [`try_decomposition_map_with_tables`] with an optional
-/// candidate-device restriction (see [`try_decomposition_map_on`] for
-/// the exactness argument).
 pub(crate) fn try_decomposition_map_with_tables_on<'g>(
     tables: &'g spmap_model::EvalTables<'g>,
     cfg: &MapperConfig,

@@ -43,7 +43,7 @@
 //!   executable spec of the PR 3 engine).  A serial planner decides
 //!   every restore source and every live snapshot before dispatch; the
 //!   trie subtrees are the parallel work items, so results *and*
-//!   statistics are thread- and backend-invariant (docs/PERF.md has
+//!   statistics are thread-invariant (docs/PERF.md has
 //!   the exactness argument).
 //! * **Parallel simulation** over `spmap-par` worker states, with all
 //!   memo reads/writes and every trail decision on the serial
@@ -240,7 +240,7 @@ const TRAIL_GAIN_MIN: usize = 1;
 /// of a batch are split into `ceil(k / TRIE_CHAIN_TARGET)` contiguous
 /// DFS ranges — a pure function of the batch, never of the thread
 /// count, so the plan (and with it every statistic) is identical for
-/// any worker count and backend.  Chains break at the boundaries with
+/// any worker count.  Chains break at the boundaries with
 /// the smallest window-depth loss (`LCP − base window`), and a chain
 /// root still windows against its nearest cached base trail, so a
 /// break never costs more than falling back to the flat policy there.
@@ -640,11 +640,10 @@ impl<'g> PopulationEval<'g> {
     }
 
     /// How this evaluator's parallel batches were dispatched so far
-    /// (serial fast path / scoped spawns / persistent-pool wakes) —
-    /// the calling thread's `spmap_par` counters since construction.
-    /// Lives beside, not inside, the thread-invariant
-    /// [`PopulationStats`]: dispatch counters vary with the thread
-    /// count and `SPMAP_POOL` backend by design.
+    /// (serial fast path / persistent-pool wakes) — the calling
+    /// thread's `spmap_par` counters since construction.  Lives beside,
+    /// not inside, the thread-invariant [`PopulationStats`]: dispatch
+    /// counters vary with the thread count by design.
     pub fn dispatch(&self) -> DispatchStats {
         spmap_par::dispatch_stats().since(&self.dispatch_base)
     }
@@ -705,8 +704,8 @@ impl<'g> PopulationEval<'g> {
     /// of a schedule that agrees with the candidate before the window
     /// start (docs/PERF.md).  All memo reads/writes, the whole trie
     /// plan and every trail decision happen on this (serial) calling
-    /// path, so results, statistics, memo and cache state are thread-
-    /// and backend-invariant.
+    /// path, so results, statistics, memo and cache state are
+    /// thread-invariant.
     pub fn evaluate(
         &mut self,
         bases: &[PopBase<'_>],
@@ -991,7 +990,7 @@ impl<'g> PopulationEval<'g> {
             };
         }
         // 2. Chain partition: `item_count` is a pure function of the
-        // batch (never of threads/backend), so the plan is invariant.
+        // batch (never of the thread count), so the plan is invariant.
         let item_count = k_total.div_ceil(TRIE_CHAIN_TARGET).max(1);
         let mut root = vec![false; k_total];
         root[0] = true;

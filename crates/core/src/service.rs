@@ -28,9 +28,9 @@
 //! direct [`decomposition_map`](crate::decomposition_map) call, so the
 //! sharded worker pool in `spmap-par` serves co-running requests from
 //! distinct shards.  A [`RuntimeConfig`] in [`ServiceConfig`] lets
-//! embeddings pin threads/backend/shards programmatically; `None`
-//! fields defer to the ambient environment (precedence: explicit >
-//! environment > default — docs/PERF.md).
+//! embeddings pin threads/shards programmatically; `None` fields defer
+//! to the ambient environment (precedence: explicit > environment >
+//! default — docs/PERF.md).
 //!
 //! ## Determinism
 //!
@@ -96,9 +96,9 @@ pub struct ServiceConfig {
     /// Byte budget of the artifact cache (`0` selects
     /// [`spmap_model::DEFAULT_ARTIFACT_BUDGET_BYTES`]).
     pub cache_budget_bytes: usize,
-    /// Typed runtime knobs (threads, backend, shards).  The default
-    /// defers every field to the ambient `SPMAP_*` environment;
-    /// explicit fields override it for every request this service runs.
+    /// Typed runtime knobs (threads, shards).  The default defers every
+    /// field to the ambient `SPMAP_*` environment; explicit fields
+    /// override it for every request this service runs.
     pub runtime: RuntimeConfig,
 }
 
@@ -465,17 +465,11 @@ impl MapService {
     /// during the unwind, so concurrent requests are unaffected.
     pub fn map(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
         let mut slot = self.admit()?;
-        let outcome = contain("map", || self.with_runtime_backend(|| self.run(request)));
+        let outcome = contain("map", || self.run(request));
         if matches!(outcome, Err(ServiceError::Internal { .. })) {
             slot.mark_failed();
         }
         outcome
-    }
-
-    /// The pre-PR-9 name of [`MapService::map`].
-    #[deprecated(note = "renamed to MapService::map — the unified MapRequest surface")]
-    pub fn submit(&self, request: &MapRequest) -> Result<MapResponse, ServiceError> {
-        self.map(request)
     }
 
     /// Open a remapping session: run `request`'s initial full map under
@@ -486,8 +480,7 @@ impl MapService {
     pub fn open_session(&self, request: &MapRequest) -> Result<SessionResponse, ServiceError> {
         let mut slot = self.admit()?;
         let outcome = contain("open_session", || {
-            let session = self
-                .with_runtime_backend(|| RemapSession::open(request, Some(Arc::clone(&self.cache))))
+            let session = RemapSession::open(request, Some(Arc::clone(&self.cache)))
                 .map_err(ServiceError::from)?;
             let result = session.initial().clone();
             let cache_hit = session.initial_cache_hit();
@@ -638,21 +631,10 @@ impl MapService {
         }
     }
 
-    /// Run `f` under this service's configured dispatch backend.  A
-    /// `None` backend preserves the caller's ambient parallel context
-    /// (explicit > environment precedence lives in `spmap-par`);
-    /// backend choice cannot change results, only dispatch counters.
-    fn with_runtime_backend<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.runtime.backend {
-            Some(b) => spmap_par::with_backend(b, f),
-            None => f(),
-        }
-    }
-
-    /// Find session `id` and run `f` on it under its lock and the
-    /// configured backend.  `poison` picks what to do when a previous
-    /// panic poisoned the session's lock: refuse with
-    /// [`ServiceError::SessionPoisoned`], or rebuild-and-recover.
+    /// Find session `id` and run `f` on it under its lock.  `poison`
+    /// picks what to do when a previous panic poisoned the session's
+    /// lock: refuse with [`ServiceError::SessionPoisoned`], or
+    /// rebuild-and-recover.
     fn run_on_session<R>(
         &self,
         id: SessionId,
@@ -677,15 +659,13 @@ impl MapService {
                     // the session refusable (and retryable) rather than
                     // silently half-recovered.
                     let mut guard = poisoned.into_inner();
-                    self.with_runtime_backend(|| guard.rebuild())
-                        .map_err(ServiceError::from)?;
+                    guard.rebuild().map_err(ServiceError::from)?;
                     entry.clear_poison();
                     guard
                 }
             },
         };
-        let out = self.with_runtime_backend(|| f(&mut sess));
-        out.map_err(ServiceError::from)
+        f(&mut sess).map_err(ServiceError::from)
     }
 
     /// Acquire a run slot or reject; the returned guard releases the
@@ -727,9 +707,6 @@ impl MapService {
         // Precedence: explicit request > service runtime > environment.
         if cfg.engine.threads.is_none() {
             cfg.engine.threads = self.runtime.threads;
-        }
-        if cfg.engine.checkpoint_budget_bytes == 0 {
-            cfg.engine.checkpoint_budget_bytes = self.runtime.checkpoint_budget_bytes;
         }
         let key = artifact_key(&request.graph, &request.platform, cfg.engine.numbering);
         let (artifact, cache_hit) = {

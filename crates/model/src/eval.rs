@@ -863,10 +863,10 @@ impl<'g> EvalTables<'g> {
     /// replay only from there.
     ///
     /// Aborts with [`WindowSim::Cutoff`] as soon as a scheduled task
-    /// proves `makespan > cutoff` (via `finish + up_min`): the proof is
-    /// strict, so a candidate that exactly *ties* the cutoff is never
-    /// aborted — tie-breaking stays exact.  Pass `f64::INFINITY` to
-    /// disable the cutoff.
+    /// proves `makespan > cutoff` via `finish + up_min`.  That sum can
+    /// exceed the simulated makespan by a few ulps, so a caller that
+    /// must never abort an exact *tie* passes a slightly inflated
+    /// cutoff.  Pass `f64::INFINITY` to disable the cutoff.
     ///
     /// The caller must have verified FPGA-area feasibility (the engine
     /// prechecks it incrementally), `ckpt` must hold snapshots recorded
@@ -1194,10 +1194,6 @@ pub struct ScheduleCheckpoints {
     stream_words: Vec<u64>,
     makespan: Vec<f64>,
 }
-
-/// Former name of [`ScheduleCheckpoints`], kept while the snapshots were
-/// breadth-first-only.
-pub type BfsCheckpoints = ScheduleCheckpoints;
 
 impl ScheduleCheckpoints {
     /// An empty snapshot store with a fixed interval.  The layout is

@@ -38,8 +38,8 @@ pub use artifact::{
     DEFAULT_ARTIFACT_BUDGET_BYTES,
 };
 pub use eval::{
-    relative_improvement, BfsCheckpoints, CheckpointSet, EvalScratch, EvalStats, EvalTables,
-    Evaluator, Numbering, ScheduleCheckpoints, WindowSim, DEFAULT_CHECKPOINT_BUDGET_BYTES,
+    relative_improvement, CheckpointSet, EvalScratch, EvalStats, EvalTables, Evaluator, Numbering,
+    ScheduleCheckpoints, WindowSim, DEFAULT_CHECKPOINT_BUDGET_BYTES,
 };
 pub use fingerprint::{graph_fingerprint, platform_fingerprint, MappingFingerprint};
 pub use gantt::{render_gantt, write_gantt};

@@ -22,13 +22,13 @@
 //!   unfaulted response stays bit-identical to the direct mapper, the
 //!   accounting balances (`admitted == completed + failed`), and a
 //!   fault-free clean pass succeeds afterwards — across explicit
-//!   {1,2}-shard pools and both dispatch backends.
+//!   {1,2}-shard pools.
 
 #![cfg(feature = "fault-injection")]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use spmap::par::{with_backend, with_pool, ParBackend, Pool};
+use spmap::par::{with_pool, Pool};
 use spmap::prelude::*;
 use spmap_core::faults::{arm, arm_kind};
 use spmap_core::{
@@ -55,6 +55,19 @@ fn silence_injected_panics() {
             }
         }));
     });
+}
+
+/// Set up one chaos test: silence injected panics and hold the suite
+/// lock for the whole test.  Fault hit counters are process-global, so
+/// an unarmed map in a concurrently running test would consume the hit
+/// another test armed (the fault then fires in the wrong test, and never
+/// in the armed one); the tests therefore run one at a time.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static SUITE: Mutex<()> = Mutex::new(());
+    silence_injected_panics();
+    // A failed test poisons the lock; it guards no data, so the
+    // remaining tests still run.
+    SUITE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A 48-node augmented SP request under the reference platform —
@@ -103,56 +116,51 @@ fn assert_outcomes_identical(tag: &str, got: &RemapOutcome, want: &RemapOutcome)
     assert_eq!(got.warm, want.warm, "{tag}: path flag diverged");
 }
 
-/// Each map-path fault site, panicking mid-request under both dispatch
-/// backends: the caller gets `Internal` with the recognizable payload
-/// naming the site, the slot is released, and an immediate rerun of the
-/// same request returns the reference bits.
+/// Each map-path fault site, panicking mid-request: the caller gets
+/// `Internal` with the recognizable payload naming the site, the slot is
+/// released, and an immediate rerun of the same request returns the
+/// reference bits.
 #[test]
 fn injected_panics_surface_as_typed_internal_errors() {
-    silence_injected_panics();
+    let _suite = exclusive();
     let req = request(1001);
     let want = reference(&req);
     let pool = Arc::new(Pool::with_shards(1));
 
-    for backend in [ParBackend::Pool, ParBackend::Scoped] {
-        for site in [
-            FaultSite::ArtifactBuild,
-            FaultSite::CandidateSweep,
-            FaultSite::PoolBatch,
-        ] {
-            let tag = format!("{backend:?}, {}", site.name());
-            with_pool(&pool, || {
-                with_backend(backend, || {
-                    // Fresh service per case: the first map is a cache
-                    // miss, so every site is on the executed path.
-                    let service = MapService::new(ServiceConfig::default());
-                    let fault = arm(site, 1);
-                    let err = service.map(&req).expect_err("armed panic must fault");
-                    assert!(fault.fired(), "{tag}: fault never fired");
-                    drop(fault);
-                    match &err {
-                        ServiceError::Internal {
-                            site: boundary,
-                            payload,
-                        } => {
-                            assert_eq!(*boundary, "map", "{tag}");
-                            assert!(
-                                payload.starts_with(INJECTED_PANIC_PREFIX)
-                                    && payload.contains(site.name()),
-                                "{tag}: payload lost: {payload}"
-                            );
-                        }
-                        other => panic!("{tag}: expected Internal, got {other:?}"),
-                    }
-                    let resp = service.map(&req).expect("service survives the panic");
-                    assert_identical(&tag, &resp.result, &want);
-                    let stats = service.stats();
-                    assert_eq!(stats.failed, 1, "{tag}");
-                    assert_eq!(stats.completed, 1, "{tag}");
-                    assert_eq!(stats.admitted, stats.completed + stats.failed, "{tag}");
-                })
-            });
-        }
+    for site in [
+        FaultSite::ArtifactBuild,
+        FaultSite::CandidateSweep,
+        FaultSite::PoolBatch,
+    ] {
+        let tag = site.name().to_string();
+        with_pool(&pool, || {
+            // Fresh service per case: the first map is a cache
+            // miss, so every site is on the executed path.
+            let service = MapService::new(ServiceConfig::default());
+            let fault = arm(site, 1);
+            let err = service.map(&req).expect_err("armed panic must fault");
+            assert!(fault.fired(), "{tag}: fault never fired");
+            drop(fault);
+            match &err {
+                ServiceError::Internal {
+                    site: boundary,
+                    payload,
+                } => {
+                    assert_eq!(*boundary, "map", "{tag}");
+                    assert!(
+                        payload.starts_with(INJECTED_PANIC_PREFIX) && payload.contains(site.name()),
+                        "{tag}: payload lost: {payload}"
+                    );
+                }
+                other => panic!("{tag}: expected Internal, got {other:?}"),
+            }
+            let resp = service.map(&req).expect("service survives the panic");
+            assert_identical(&tag, &resp.result, &want);
+            let stats = service.stats();
+            assert_eq!(stats.failed, 1, "{tag}");
+            assert_eq!(stats.completed, 1, "{tag}");
+            assert_eq!(stats.admitted, stats.completed + stats.failed, "{tag}");
+        });
     }
 }
 
@@ -161,7 +169,7 @@ fn injected_panics_surface_as_typed_internal_errors() {
 /// mode, and the service counts it as a completed request.
 #[test]
 fn injected_sweep_errors_degrade_to_the_typed_nan_refusal() {
-    silence_injected_panics();
+    let _suite = exclusive();
     let req = request(1002);
     let want = reference(&req);
     let service = MapService::new(ServiceConfig::default());
@@ -191,7 +199,7 @@ fn injected_sweep_errors_degrade_to_the_typed_nan_refusal() {
 /// maps successfully instead of being rejected forever.
 #[test]
 fn panicking_requests_release_their_admission_slots() {
-    silence_injected_panics();
+    let _suite = exclusive();
     let req = request(1003);
     let want = reference(&req);
     let service = MapService::new(ServiceConfig {
@@ -232,7 +240,7 @@ fn panicking_requests_release_their_admission_slots() {
 /// state the rebuild derives from is intact).
 #[test]
 fn poisoned_sessions_recover_through_remap_full() {
-    silence_injected_panics();
+    let _suite = exclusive();
     let req = request(1004);
     let batch = vec![Perturbation::DeviceLost(DeviceId(1))];
     let service = MapService::new(ServiceConfig::default());
@@ -290,7 +298,7 @@ fn poisoned_sessions_recover_through_remap_full() {
 /// it, reports the poison, and returns the last *committed* incumbent.
 #[test]
 fn poisoned_sessions_can_be_disposed_by_close() {
-    silence_injected_panics();
+    let _suite = exclusive();
     let req = request(1005);
     let service = MapService::new(ServiceConfig::default());
     let opened = service.open_session(&req).expect("open");
@@ -315,14 +323,14 @@ fn poisoned_sessions_can_be_disposed_by_close() {
 }
 
 /// Eight concurrent clients with seeded faults firing mid-flight,
-/// across explicit {1,2}-shard pools and both dispatch backends: every
-/// response is either bit-identical to the direct mapper or a typed
-/// error, the accounting balances at every round's quiescence, and a
-/// fault-free clean pass follows.  The fault schedule is a pure
+/// across explicit {1,2}-shard pools: every response is either
+/// bit-identical to the direct mapper or a typed error, the accounting
+/// balances at every round's quiescence, and a fault-free clean pass
+/// follows.  The fault schedule is a pure
 /// function of its seed, so every cell runs the same plans.
 #[test]
 fn concurrent_chaos_keeps_unfaulted_responses_bit_identical() {
-    silence_injected_panics();
+    let _suite = exclusive();
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 3;
     const REQUESTS_PER_CLIENT: usize = 3;
@@ -332,95 +340,89 @@ fn concurrent_chaos_keeps_unfaulted_responses_bit_identical() {
 
     for shards in [1usize, 2] {
         let pool = Arc::new(Pool::with_shards(shards));
-        for backend in [ParBackend::Pool, ParBackend::Scoped] {
-            let tag = format!("shards {shards}, backend {backend:?}");
-            // Queue room for every client, and a byte-starved cache so
-            // the artifact-build site stays on every request's path.
-            let service = Arc::new(MapService::new(ServiceConfig {
-                max_inflight: CLIENTS,
-                max_queued: CLIENTS,
-                cache_budget_bytes: 1,
-                ..ServiceConfig::default()
-            }));
-            let mut schedule = FaultSchedule::new(0xC4A05);
-            let mut ok = 0u64;
-            for round in 0..ROUNDS {
-                let (site, hit, kind) = schedule.next_map_plan(8);
-                let fault = arm_kind(site, hit, kind);
-                let round_ok: u64 = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..CLIENTS)
-                        .map(|client| {
-                            let service = Arc::clone(&service);
-                            let pool = Arc::clone(&pool);
-                            let requests = &requests;
-                            let references = &references;
-                            let tag = &tag;
-                            scope.spawn(move || {
-                                with_pool(&pool, || {
-                                    with_backend(backend, || {
-                                        let mut ok = 0u64;
-                                        for i in 0..REQUESTS_PER_CLIENT {
-                                            let idx = (client + i) % requests.len();
-                                            match service.map(&requests[idx]) {
-                                                Ok(resp) => {
-                                                    assert_identical(
-                                                        &format!(
-                                                            "{tag}, round {round}, \
-                                                             client {client}, graph {idx}"
-                                                        ),
-                                                        &resp.result,
-                                                        &references[idx],
-                                                    );
-                                                    ok += 1;
-                                                }
-                                                Err(ServiceError::Internal { .. })
-                                                | Err(ServiceError::Mapper(_)) => {}
-                                                Err(other) => panic!(
-                                                    "{tag}, round {round}: \
-                                                     unexpected outcome {other:?}"
+        let tag = format!("shards {shards}");
+        // Queue room for every client, and a byte-starved cache so
+        // the artifact-build site stays on every request's path.
+        let service = Arc::new(MapService::new(ServiceConfig {
+            max_inflight: CLIENTS,
+            max_queued: CLIENTS,
+            cache_budget_bytes: 1,
+            ..ServiceConfig::default()
+        }));
+        let mut schedule = FaultSchedule::new(0xC4A05);
+        let mut ok = 0u64;
+        for round in 0..ROUNDS {
+            let (site, hit, kind) = schedule.next_map_plan(8);
+            let fault = arm_kind(site, hit, kind);
+            let round_ok: u64 = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..CLIENTS)
+                    .map(|client| {
+                        let service = Arc::clone(&service);
+                        let pool = Arc::clone(&pool);
+                        let requests = &requests;
+                        let references = &references;
+                        let tag = &tag;
+                        scope.spawn(move || {
+                            with_pool(&pool, || {
+                                let mut ok = 0u64;
+                                for i in 0..REQUESTS_PER_CLIENT {
+                                    let idx = (client + i) % requests.len();
+                                    match service.map(&requests[idx]) {
+                                        Ok(resp) => {
+                                            assert_identical(
+                                                &format!(
+                                                    "{tag}, round {round}, \
+                                                     client {client}, graph {idx}"
                                                 ),
-                                            }
+                                                &resp.result,
+                                                &references[idx],
+                                            );
+                                            ok += 1;
                                         }
-                                        ok
-                                    })
-                                })
+                                        Err(ServiceError::Internal { .. })
+                                        | Err(ServiceError::Mapper(_)) => {}
+                                        Err(other) => panic!(
+                                            "{tag}, round {round}: \
+                                             unexpected outcome {other:?}"
+                                        ),
+                                    }
+                                }
+                                ok
                             })
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("containment breached: client panicked"))
-                        .sum()
-                });
-                ok += round_ok;
-                drop(fault);
-                let stats = service.stats();
-                assert_eq!(
-                    stats.admitted,
-                    stats.completed + stats.failed,
-                    "{tag}, round {round}: accounting must balance at quiescence"
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("containment breached: client panicked"))
+                    .sum()
+            });
+            ok += round_ok;
+            drop(fault);
+            let stats = service.stats();
+            assert_eq!(
+                stats.admitted,
+                stats.completed + stats.failed,
+                "{tag}, round {round}: accounting must balance at quiescence"
+            );
+        }
+        let submitted = (CLIENTS * ROUNDS * REQUESTS_PER_CLIENT) as u64;
+        let stats = service.stats();
+        assert_eq!(stats.admitted, submitted, "{tag}: queue room for everyone");
+        assert_eq!(stats.rejected, 0, "{tag}");
+        assert!(ok > 0, "{tag}: chaos rounds still produce good responses");
+
+        // Fault-free clean pass on the same service: nothing leaked
+        // into its future.
+        with_pool(&pool, || {
+            for (i, req) in requests.iter().enumerate() {
+                let resp = service.map(req).expect("clean pass");
+                assert_identical(
+                    &format!("{tag}, clean pass graph {i}"),
+                    &resp.result,
+                    &references[i],
                 );
             }
-            let submitted = (CLIENTS * ROUNDS * REQUESTS_PER_CLIENT) as u64;
-            let stats = service.stats();
-            assert_eq!(stats.admitted, submitted, "{tag}: queue room for everyone");
-            assert_eq!(stats.rejected, 0, "{tag}");
-            assert!(ok > 0, "{tag}: chaos rounds still produce good responses");
-
-            // Fault-free clean pass on the same service: nothing leaked
-            // into its future.
-            with_pool(&pool, || {
-                with_backend(backend, || {
-                    for (i, req) in requests.iter().enumerate() {
-                        let resp = service.map(req).expect("clean pass");
-                        assert_identical(
-                            &format!("{tag}, clean pass graph {i}"),
-                            &resp.result,
-                            &references[i],
-                        );
-                    }
-                })
-            });
-        }
+        });
     }
 }
