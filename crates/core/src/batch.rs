@@ -50,12 +50,13 @@
 //! resume where they left off.  The BFS cost model is simply the
 //! single-schedule instance of the same path.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use spmap_graph::{NodeId, TaskGraph};
 use spmap_model::{
-    CheckpointSet, DeviceId, EvalScratch, EvalTables, Mapping, MappingFingerprint, Numbering,
-    Platform, ReportSchedules, WindowSim,
+    CandidateSet, CheckpointSet, DeviceId, EvalScratch, EvalTables, Mapping, MappingFingerprint,
+    Numbering, Platform, ReportSchedules, WindowSim,
 };
 use spmap_par::{par_map_with_threads, DispatchStats, WorkerStates};
 
@@ -428,7 +429,9 @@ impl<'g> std::ops::Deref for TablesSource<'g> {
 /// aggregates, the makespan memo, and one worker state per thread.
 pub struct CandidateBatch<'g> {
     tables: TablesSource<'g>,
-    subgraphs: Vec<Vec<NodeId>>,
+    /// Built for this run (owned path) or borrowed from the cached
+    /// artifact that also lends the tables (shared path).
+    subgraphs: Cow<'g, CandidateSet>,
     devices: Vec<DeviceId>,
     cfg: EngineConfig,
     threads: usize,
@@ -516,7 +519,7 @@ impl<'g> CandidateBatch<'g> {
         let tables = EvalTables::with_numbering(graph, platform, cfg.numbering);
         Self::from_source(
             TablesSource::Owned(tables),
-            subgraphs,
+            Cow::Owned(CandidateSet::from_nested(&subgraphs)),
             devices,
             cfg,
             cost,
@@ -524,11 +527,12 @@ impl<'g> CandidateBatch<'g> {
         )
     }
 
-    /// Build the engine on *pre-built* shared tables (e.g. from a cached
-    /// `EvalArtifact`), skipping table construction.  Because the tables
-    /// are immutable and every engine input beyond them is per-run, an
-    /// engine on shared tables is bit-identical to one that built its
-    /// own — cold and warm cache cannot diverge.
+    /// Build the engine on *pre-built* shared tables and candidate set
+    /// (e.g. from a cached `EvalArtifact`), skipping table construction
+    /// and decomposition.  Because both are immutable and every engine
+    /// input beyond them is per-run, an engine on shared inputs is
+    /// bit-identical to one that built its own — cold and warm cache
+    /// cannot diverge.
     ///
     /// # Panics
     ///
@@ -537,7 +541,7 @@ impl<'g> CandidateBatch<'g> {
     /// different interior order).
     pub fn with_shared_tables(
         tables: &'g EvalTables<'g>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: &'g CandidateSet,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
@@ -549,7 +553,7 @@ impl<'g> CandidateBatch<'g> {
         );
         Self::from_source(
             TablesSource::Shared(tables),
-            subgraphs,
+            Cow::Borrowed(subgraphs),
             devices,
             cfg,
             cost,
@@ -571,7 +575,7 @@ impl<'g> CandidateBatch<'g> {
     /// base mapping is infeasible under the tables' platform.
     pub fn with_shared_tables_warm(
         tables: &'g EvalTables<'g>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: &'g CandidateSet,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
@@ -589,7 +593,7 @@ impl<'g> CandidateBatch<'g> {
         );
         Self::from_source(
             TablesSource::Shared(tables),
-            subgraphs,
+            Cow::Borrowed(subgraphs),
             devices,
             cfg,
             cost,
@@ -599,7 +603,7 @@ impl<'g> CandidateBatch<'g> {
 
     fn from_source(
         tables: TablesSource<'g>,
-        subgraphs: Vec<Vec<NodeId>>,
+        subgraphs: Cow<'g, CandidateSet>,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
@@ -678,7 +682,7 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// The candidate subgraph set.
-    pub fn subgraphs(&self) -> &[Vec<NodeId>] {
+    pub fn subgraphs(&self) -> &CandidateSet {
         &self.subgraphs
     }
 
@@ -1764,7 +1768,7 @@ mod tests {
                 d.iter().enumerate().filter(|(_, &x)| x > threshold).fold(
                     None::<(usize, f64)>,
                     |best, (i, &x)| {
-                        if best.map_or(true, |(_, b)| x > b) {
+                        if best.is_none_or(|(_, b)| x > b) {
                             Some((i, x))
                         } else {
                             best
@@ -1847,10 +1851,9 @@ mod tests {
                 },
             );
             let reference = reference_deltas(&g, &p, &eng);
-            for op in 0..eng.op_count() {
+            for (op, &true_delta) in reference.iter().enumerate() {
                 let verdict = eng.classify(op, true);
                 if let Verdict::Simulate { bound, .. } = verdict {
-                    let true_delta = reference[op];
                     if true_delta != f64::NEG_INFINITY {
                         assert!(
                             bound >= true_delta,

@@ -10,7 +10,7 @@ use std::fmt;
 
 use spmap_decomp::{series_parallel_subgraphs, single_node_subgraphs, CutPolicy};
 use spmap_graph::{NodeId, TaskGraph};
-use spmap_model::{DeviceId, Evaluator, Mapping, Platform};
+use spmap_model::{DeviceId, EvalArtifact, Evaluator, Mapping, Platform};
 use spmap_par::DispatchStats;
 
 use crate::batch::{BatchStats, CandidateBatch, EngineConfig};
@@ -93,6 +93,24 @@ pub enum SubgraphStrategy {
         /// Conflict-cut policy for non-series-parallel graphs.
         cut_policy: CutPolicy,
     },
+}
+
+impl SubgraphStrategy {
+    /// An injective encoding of the whole strategy (variant, cut
+    /// policy, a random policy's seed): the tag that keys a cached
+    /// candidate set (`spmap_model::candidate_artifact_key`).
+    pub(crate) fn cache_tag(self) -> u128 {
+        let (variant, seed): (u128, u64) = match self {
+            SubgraphStrategy::SingleNode => (1, 0),
+            SubgraphStrategy::SeriesParallel { cut_policy } => match cut_policy {
+                CutPolicy::SmallestSubtree => (2, 0),
+                CutPolicy::LargestSubtree => (3, 0),
+                CutPolicy::FirstActive => (4, 0),
+                CutPolicy::Random { seed } => (5, seed),
+            },
+        };
+        (variant << 64) | seed as u128
+    }
 }
 
 /// How to search the operation space in each iteration (paper §III-D).
@@ -279,32 +297,39 @@ pub(crate) fn try_decomposition_map_on(
     drive_search(engine, cfg)
 }
 
-/// Run decomposition-based mapping on *pre-built* shared evaluation
-/// tables (e.g. from a service's artifact cache), skipping table
-/// construction, with an optional candidate-device restriction (see
-/// [`try_decomposition_map_on`] for the exactness argument) — the
-/// driver behind the service and session paths.  Graph and platform are
-/// recovered from the tables; the run is bit-identical to
-/// [`try_decomposition_map`] on the same inputs — the tables are
-/// immutable and everything downstream of them is per-run state.
+/// Run decomposition-based mapping on a *pre-built* shared artifact
+/// (e.g. from a service's artifact cache) — its evaluation tables and
+/// its candidate set, so neither table construction nor decomposition
+/// runs — with an optional candidate-device restriction (see
+/// [`try_decomposition_map_on`] for the exactness argument).  The
+/// driver behind the service and session paths.  The run is
+/// bit-identical to [`try_decomposition_map`] on the same inputs: the
+/// artifact is immutable and everything downstream of it is per-run
+/// state.
 ///
 /// # Panics
 ///
-/// If `cfg.engine.numbering` disagrees with the numbering the tables
-/// were built under (see [`CandidateBatch::with_shared_tables`]).
-pub(crate) fn try_decomposition_map_with_tables_on<'g>(
-    tables: &'g spmap_model::EvalTables<'g>,
+/// If the artifact carries no candidate set (only
+/// [`crate::service::fetch_artifact`] builds the artifacts passed
+/// here), or if `cfg.engine.numbering` disagrees with the numbering the
+/// tables were built under (see [`CandidateBatch::with_shared_tables`]).
+pub(crate) fn try_decomposition_map_on_artifact(
+    artifact: &EvalArtifact,
     cfg: &MapperConfig,
     devices: Option<&[DeviceId]>,
 ) -> Result<MapperResult, MapperError> {
-    let graph = tables.graph();
-    let subgraphs = build_subgraphs(graph, cfg.strategy);
+    let tables = artifact.tables();
     let devices: Vec<DeviceId> = match devices {
         Some(ds) => ds.to_vec(),
         None => tables.platform().device_ids().collect(),
     };
-    let engine =
-        CandidateBatch::with_shared_tables(tables, subgraphs, devices, cfg.engine, cfg.cost);
+    let engine = CandidateBatch::with_shared_tables(
+        tables,
+        crate::service::artifact_candidates(artifact),
+        devices,
+        cfg.engine,
+        cfg.cost,
+    );
     drive_search(engine, cfg)
 }
 
@@ -646,7 +671,6 @@ mod tests {
                 parallelizability: 0.0,
                 streamability: 7.0,
                 area: 120.0,
-                ..Task::default()
             };
         }
         g

@@ -1197,8 +1197,11 @@ mod tests {
         (g, Platform::reference())
     }
 
+    /// Base mappings, and children as `(base index, mapping, moved nodes)`.
+    type Zoo = (Vec<Mapping>, Vec<(usize, Mapping, Vec<NodeId>)>);
+
     /// A family of base mappings plus single/multi-node children of each.
-    fn zoo(g: &TaskGraph) -> (Vec<Mapping>, Vec<(usize, Mapping, Vec<NodeId>)>) {
+    fn zoo(g: &TaskGraph) -> Zoo {
         let n = g.node_count();
         let bases: Vec<Mapping> = (0..3u32)
             .map(|b| {

@@ -13,10 +13,12 @@
 //!   clock-free `retry_hint`: how many completions the service must
 //!   record before a retry could reach an execution slot.
 //! * an **artifact cache** — a content-addressed, byte-budgeted LRU of
-//!   [`EvalArtifact`]s (`spmap_model::artifact`), so a repeat graph +
-//!   platform skips [`EvalTables`](spmap_model::EvalTables) construction
-//!   entirely and shares one immutable build across all concurrent
-//!   requests *and sessions* that need it;
+//!   [`EvalArtifact`]s (`spmap_model::artifact`), each holding the
+//!   [`EvalTables`](spmap_model::EvalTables) and the request strategy's
+//!   candidate subgraph set, so a repeat graph + platform + strategy
+//!   skips both table construction and SP decomposition and shares one
+//!   immutable build across all concurrent requests *and sessions* that
+//!   need it;
 //! * a **session registry** — live [`RemapSession`]s opened through
 //!   [`MapService::open_session`], each serialized by its own lock so
 //!   remaps on *distinct* sessions run concurrently while remaps on the
@@ -36,13 +38,14 @@
 //!
 //! A response is a pure function of its request (and, for remaps, the
 //! session's perturbation history).  The cache can only substitute a
-//! *bit-identical* table build (the content key covers every table
-//! input — see `spmap_model::artifact` on key soundness), and admission
-//! control delays or rejects requests but never alters one.  Cold
-//! cache, warm cache, any shard count, any co-runner mix: same mapping,
-//! same makespan, bit for bit.  The service reads no clocks — even the
-//! overload `retry_hint` is denominated in completions, not time;
-//! latency measurement belongs to the benchmark harness.
+//! *bit-identical* build (the content key covers every table input and
+//! the whole subgraph strategy — see `spmap_model::artifact` on key
+//! soundness), and admission control delays or rejects requests but
+//! never alters one.  Cold cache, warm cache, any shard count, any
+//! co-runner mix: same mapping, same makespan, bit for bit.  The
+//! service reads no clocks — even the overload `retry_hint` is
+//! denominated in completions, not time; latency measurement belongs to
+//! the benchmark harness.
 //!
 //! ## Fault containment
 //!
@@ -75,9 +78,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use spmap_model::{artifact_key, ArtifactCache, ArtifactCacheStats, EvalArtifact, Mapping};
+use spmap_graph::TaskGraph;
+use spmap_model::{
+    artifact_key, candidate_artifact_key, ArtifactCache, ArtifactCacheStats, CandidateSet,
+    EvalArtifact, Mapping, Platform,
+};
 
-use crate::mapper::{try_decomposition_map_with_tables_on, MapperError, MapperResult};
+use crate::mapper::{
+    build_subgraphs, try_decomposition_map_on_artifact, MapperConfig, MapperError, MapperResult,
+};
 use crate::request::MapRequest;
 use crate::runtime::RuntimeConfig;
 use crate::session::{Perturbation, RemapError, RemapOutcome, RemapSession};
@@ -206,11 +215,13 @@ pub struct MapResponse {
     /// [`decomposition_map`](crate::decomposition_map) call with the
     /// request's inputs (including the dispatch counters' shard lane).
     pub result: MapperResult,
-    /// Whether the evaluation tables came from the artifact cache
-    /// (`true`) or were built — and cached — by this request (`false`).
-    /// Diagnostic only: both paths produce identical results.
+    /// Whether the evaluation tables and candidate set came from the
+    /// artifact cache (`true`) or were built — and cached — by this
+    /// request (`false`).  Diagnostic only: both paths produce
+    /// identical results.
     pub cache_hit: bool,
-    /// The content key the tables are cached under.
+    /// The content key the artifact is cached under: the table key
+    /// chained with the request's subgraph strategy.
     pub artifact_key: u128,
 }
 
@@ -315,6 +326,53 @@ struct Sessions {
 /// the state is safe to keep using (docs/ROBUSTNESS.md).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Look up or build the artifact serving `(graph, platform, cfg)`: the
+/// evaluation tables plus `cfg.strategy`'s candidate set, keyed on both
+/// ([`candidate_artifact_key`] over [`artifact_key`]).  Returns the
+/// artifact and whether the cache answered.  Without a cache, every
+/// call builds.
+///
+/// The one lookup/build/insert path of one-shot requests and remap
+/// sessions.  The build runs outside the cache lock — table
+/// construction and decomposition are the expensive part, and a
+/// concurrent request for a *different* graph must not wait behind
+/// them.  A racing builder of the same key is resolved by `insert`: the
+/// first resident build wins and both callers share it.
+pub(crate) fn fetch_artifact(
+    cache: Option<&Mutex<ArtifactCache>>,
+    graph: &Arc<TaskGraph>,
+    platform: &Arc<Platform>,
+    cfg: &MapperConfig,
+) -> (Arc<EvalArtifact>, bool) {
+    let numbering = cfg.engine.numbering;
+    let tag = cfg.strategy.cache_tag();
+    if let Some(cache) = cache {
+        let key = candidate_artifact_key(artifact_key(graph, platform, numbering), tag);
+        let hit = lock(cache).lookup(key);
+        if let Some(a) = hit {
+            return (a, true);
+        }
+    }
+    crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
+    let candidates = CandidateSet::from_nested(&build_subgraphs(graph, cfg.strategy));
+    let built = Arc::new(
+        EvalArtifact::build(Arc::clone(graph), Arc::clone(platform), numbering)
+            .with_candidates(tag, candidates),
+    );
+    match cache {
+        Some(cache) => (lock(cache).insert(built), false),
+        None => (built, false),
+    }
+}
+
+/// The candidate set of an artifact from [`fetch_artifact`], which
+/// always attaches one.
+pub(crate) fn artifact_candidates(artifact: &EvalArtifact) -> &CandidateSet {
+    artifact
+        .candidates()
+        .expect("fetch_artifact attaches a candidate set to every artifact")
 }
 
 /// Stringify a panic payload (the `&str` / `String` cases cover every
@@ -708,38 +766,14 @@ impl MapService {
         if cfg.engine.threads.is_none() {
             cfg.engine.threads = self.runtime.threads;
         }
-        let key = artifact_key(&request.graph, &request.platform, cfg.engine.numbering);
-        let (artifact, cache_hit) = {
-            let hit = lock(&self.cache).lookup(key);
-            match hit {
-                Some(a) => (a, true),
-                None => {
-                    // Build outside the cache lock — table construction
-                    // is the expensive part, and a concurrent request
-                    // for a *different* graph must not wait behind it.
-                    // A racing builder of the same key is resolved by
-                    // `insert`: the first resident build wins and both
-                    // requests share it.
-                    crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-                    let built = Arc::new(EvalArtifact::build(
-                        Arc::clone(&request.graph),
-                        Arc::clone(&request.platform),
-                        cfg.engine.numbering,
-                    ));
-                    let shared = lock(&self.cache).insert(built);
-                    (shared, false)
-                }
-            }
-        };
-        let result = try_decomposition_map_with_tables_on(
-            artifact.tables(),
-            &cfg,
-            request.limits.devices.as_deref(),
-        )?;
+        let (artifact, cache_hit) =
+            fetch_artifact(Some(&self.cache), &request.graph, &request.platform, &cfg);
+        let result =
+            try_decomposition_map_on_artifact(&artifact, &cfg, request.limits.devices.as_deref())?;
         Ok(MapResponse {
             result,
             cache_hit,
-            artifact_key: key,
+            artifact_key: artifact.key(),
         })
     }
 }

@@ -1,12 +1,13 @@
 //! Online remapping sessions: warm-start incremental re-mapping.
 //!
 //! A [`RemapSession`] owns an incumbent [`Mapping`], the
-//! [`EvalArtifact`] it was computed against, and the session's device
-//! availability.  Runtime events arrive as typed [`Perturbation`]s —
-//! a device fails or returns, tasks arrive or finish, task attributes
-//! change — and [`RemapSession::remap`] reacts by *warm-starting* the
-//! decomposition search from the incumbent instead of mapping from
-//! scratch:
+//! [`EvalArtifact`] it was computed against (evaluation tables plus the
+//! candidate subgraph set of the current graph), and the session's
+//! device availability.  Runtime events arrive as typed
+//! [`Perturbation`]s — a device fails or returns, tasks arrive or
+//! finish, task attributes change — and [`RemapSession::remap`] reacts
+//! by *warm-starting* the decomposition search from the incumbent
+//! instead of mapping from scratch:
 //!
 //! 1. **Compile** the perturbation batch into a patched graph, an
 //!    updated availability mask, a *repaired* incumbent (nodes stranded
@@ -50,14 +51,13 @@ use std::sync::{Arc, Mutex};
 
 use spmap_graph::{GraphError, NodeId, Task, TaskGraph};
 use spmap_model::{
-    artifact_key, masked_artifact_key, ArtifactCache, DeviceId, EvalArtifact, Mapping, Platform,
+    masked_artifact_key, ArtifactCache, CandidateSet, DeviceId, EvalArtifact, Mapping, Platform,
 };
 
 use crate::batch::{BatchStats, CandidateBatch};
-use crate::mapper::{
-    build_subgraphs, try_decomposition_map_with_tables_on, MapperConfig, MapperError, MapperResult,
-};
+use crate::mapper::{try_decomposition_map_on_artifact, MapperConfig, MapperError, MapperResult};
 use crate::request::MapRequest;
+use crate::service::{artifact_candidates, fetch_artifact};
 
 /// One runtime event a session reacts to.
 #[derive(Clone, Debug)]
@@ -233,7 +233,7 @@ pub struct RemapSession {
     platform: Arc<Platform>,
     cfg: MapperConfig,
     available: Vec<bool>,
-    subgraphs: Vec<Vec<NodeId>>,
+    /// The tables and candidate set of the current graph.
     artifact: Arc<EvalArtifact>,
     incumbent: Mapping,
     incumbent_makespan: f64,
@@ -276,22 +276,15 @@ impl RemapSession {
                 mask
             }
         };
-        let (artifact, cache_hit) = fetch_artifact(
-            cache.as_ref(),
-            Arc::clone(&req.graph),
-            Arc::clone(&req.platform),
-            &cfg,
-        );
+        let (artifact, cache_hit) =
+            fetch_artifact(cache.as_deref(), &req.graph, &req.platform, &cfg);
         let devices = device_list(&available);
-        let initial =
-            try_decomposition_map_with_tables_on(artifact.tables(), &cfg, Some(&devices))?;
-        let subgraphs = build_subgraphs(&req.graph, cfg.strategy);
+        let initial = try_decomposition_map_on_artifact(&artifact, &cfg, Some(&devices))?;
         Ok(Self {
             graph: Arc::clone(&req.graph),
             platform: Arc::clone(&req.platform),
             cfg,
             available,
-            subgraphs,
             artifact,
             incumbent: initial.mapping.clone(),
             incumbent_makespan: initial.makespan,
@@ -320,6 +313,12 @@ impl RemapSession {
     /// The incumbent's makespan under the session's cost model.
     pub fn incumbent_makespan(&self) -> f64 {
         self.incumbent_makespan
+    }
+
+    /// The candidate subgraph set of the current graph under the
+    /// session's strategy, read from the session's artifact.
+    pub fn candidates(&self) -> &CandidateSet {
+        artifact_candidates(&self.artifact)
     }
 
     /// Per-device availability (indexed by [`DeviceId::index`]).
@@ -363,13 +362,7 @@ impl RemapSession {
         let c = self.compile(perturbations)?;
         let devices = device_list(&c.available);
         let (artifact, cache_hit) = self.artifact_for(&c);
-        // Clone rather than take: an error mid-search must leave the
-        // session state untouched and reusable.
-        let subgraphs = if c.graph_changed {
-            build_subgraphs(&c.graph, self.cfg.strategy)
-        } else {
-            self.subgraphs.clone()
-        };
+        let subgraphs = artifact_candidates(&artifact);
 
         // The warm neighborhood: operations whose subgraph touches an
         // affected node, plus every operation targeting a device
@@ -412,13 +405,13 @@ impl RemapSession {
                 session_key: 0, // patched below
                 batch: BatchStats::default(),
             };
-            return Ok(self.commit_outcome(c, artifact, subgraphs, outcome));
+            return Ok(self.commit_outcome(c, artifact, outcome));
         }
 
         let (mapping, makespan, warm_start, iterations, history, batch) = {
             let mut engine = CandidateBatch::with_shared_tables_warm(
                 artifact.tables(),
-                subgraphs.clone(),
+                subgraphs,
                 devices,
                 self.cfg.engine,
                 self.cfg.cost,
@@ -479,7 +472,7 @@ impl RemapSession {
             session_key: 0, // patched below
             batch,
         };
-        Ok(self.commit_outcome(c, artifact, subgraphs, outcome))
+        Ok(self.commit_outcome(c, artifact, outcome))
     }
 
     /// The executable-spec fallback: compile the same perturbations,
@@ -499,13 +492,7 @@ impl RemapSession {
         let c = self.compile(perturbations)?;
         let devices = device_list(&c.available);
         let (artifact, cache_hit) = self.artifact_for(&c);
-        let subgraphs = if c.graph_changed {
-            build_subgraphs(&c.graph, self.cfg.strategy)
-        } else {
-            self.subgraphs.clone()
-        };
-        let result =
-            try_decomposition_map_with_tables_on(artifact.tables(), &self.cfg, Some(&devices))?;
+        let result = try_decomposition_map_on_artifact(&artifact, &self.cfg, Some(&devices))?;
         let outcome = RemapOutcome {
             mapping: result.mapping.clone(),
             makespan: result.makespan,
@@ -514,7 +501,7 @@ impl RemapSession {
             history: result.history,
             affected_nodes: c.affected.iter().filter(|&&a| a).count(),
             neighborhood_ops: 0,
-            op_count: subgraphs.len() * devices.len(),
+            op_count: result.subgraph_count * devices.len(),
             noop: false,
             warm: false,
             graph_rebuilt: c.graph_changed,
@@ -522,7 +509,7 @@ impl RemapSession {
             session_key: 0, // patched below
             batch: result.batch,
         };
-        Ok(self.commit_outcome(c, artifact, subgraphs, outcome))
+        Ok(self.commit_outcome(c, artifact, outcome))
     }
 
     /// The empty-batch fast path: incumbent bits, no engine.
@@ -535,7 +522,7 @@ impl RemapSession {
             history: Vec::new(),
             affected_nodes: 0,
             neighborhood_ops: 0,
-            op_count: self.subgraphs.len() * device_list(&self.available).len(),
+            op_count: self.candidates().len() * device_list(&self.available).len(),
             noop: true,
             warm: true,
             graph_rebuilt: false,
@@ -551,7 +538,6 @@ impl RemapSession {
         &mut self,
         c: Compiled,
         artifact: Arc<EvalArtifact>,
-        subgraphs: Vec<Vec<NodeId>>,
         mut outcome: RemapOutcome,
     ) -> RemapOutcome {
         crate::faults::fault_point(crate::faults::FaultSite::SessionCommit);
@@ -563,7 +549,6 @@ impl RemapSession {
         let incumbent = outcome.mapping.clone();
         self.graph = c.graph;
         self.available = c.available;
-        self.subgraphs = subgraphs;
         self.artifact = artifact;
         self.incumbent = incumbent;
         self.incumbent_makespan = outcome.makespan;
@@ -573,22 +558,18 @@ impl RemapSession {
     }
 
     /// Re-derive every piece of session state a mid-operation panic
-    /// could conceivably have been computing — subgraphs, incumbent,
-    /// makespan — as a pure function of the committed inputs (graph,
-    /// platform, artifact, availability).  The service's poison
-    /// recovery ([`MapService::remap_full`](crate::MapService) on a
+    /// could conceivably have been computing — incumbent, makespan — as
+    /// a pure function of the committed inputs (graph, platform,
+    /// availability, and the artifact, whose tables and candidate set
+    /// are immutable and so need no re-derivation).  The service's
+    /// poison recovery ([`MapService::remap_full`](crate::MapService) on a
     /// poisoned session) calls this before clearing the poison; because
     /// sessions mutate only at their panic-free commit boundary, the
     /// committed inputs are always intact and the recovered session is
     /// bit-identical to a fresh one opened on the same patched state.
     pub fn rebuild(&mut self) -> Result<(), RemapError> {
-        self.subgraphs = build_subgraphs(&self.graph, self.cfg.strategy);
         let devices = device_list(&self.available);
-        let result = try_decomposition_map_with_tables_on(
-            self.artifact.tables(),
-            &self.cfg,
-            Some(&devices),
-        )?;
+        let result = try_decomposition_map_on_artifact(&self.artifact, &self.cfg, Some(&devices))?;
         self.incumbent = result.mapping;
         self.incumbent_makespan = result.makespan;
         Ok(())
@@ -600,12 +581,7 @@ impl RemapSession {
         if !c.graph_changed {
             return (Arc::clone(&self.artifact), false);
         }
-        fetch_artifact(
-            self.cache.as_ref(),
-            Arc::clone(&c.graph),
-            Arc::clone(&self.platform),
-            &self.cfg,
-        )
+        fetch_artifact(self.cache.as_deref(), &c.graph, &self.platform, &self.cfg)
     }
 
     /// Compile a perturbation batch against the current session state.
@@ -799,52 +775,10 @@ fn device_list(available: &[bool]) -> Vec<DeviceId> {
         .collect()
 }
 
-/// Look up or build the artifact for `(graph, platform, numbering)`,
-/// optionally through a shared cache (the same first-resident-build-wins
-/// discipline as the service path).
-fn fetch_artifact(
-    cache: Option<&Arc<Mutex<ArtifactCache>>>,
-    graph: Arc<TaskGraph>,
-    platform: Arc<Platform>,
-    cfg: &MapperConfig,
-) -> (Arc<EvalArtifact>, bool) {
-    let numbering = cfg.engine.numbering;
-    // Recover-and-continue on cache poison: builds happen outside the
-    // lock, so no panic can leave a half-mutated cache behind
-    // (docs/ROBUSTNESS.md).
-    fn lock_cache(c: &Mutex<ArtifactCache>) -> std::sync::MutexGuard<'_, ArtifactCache> {
-        c.lock().unwrap_or_else(|e| e.into_inner())
-    }
-    match cache {
-        None => {
-            crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-            (
-                Arc::new(EvalArtifact::build(graph, platform, numbering)),
-                false,
-            )
-        }
-        Some(cache) => {
-            let key = artifact_key(&graph, &platform, numbering);
-            let hit = lock_cache(cache).lookup(key);
-            match hit {
-                Some(a) => (a, true),
-                None => {
-                    // Build outside the cache lock, exactly like the
-                    // service path: a racing builder of the same key is
-                    // resolved by `insert` (first resident build wins).
-                    crate::faults::fault_point(crate::faults::FaultSite::ArtifactBuild);
-                    let built = Arc::new(EvalArtifact::build(graph, platform, numbering));
-                    let shared = lock_cache(cache).insert(built);
-                    (shared, false)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::build_subgraphs;
     use crate::request::MapRequest;
     use spmap_graph::gen::{random_sp_graph, SpGenConfig};
     use spmap_graph::{augment, AugmentConfig};
@@ -992,6 +926,54 @@ mod tests {
             s.remap(&[Perturbation::DeviceLost(default)]),
             Err(RemapError::DefaultDeviceUnavailable(_))
         ));
+    }
+
+    #[test]
+    fn candidate_set_is_the_current_graphs_decomposition() {
+        // The set lives in the session's artifact: after every kind of
+        // state change it must equal a fresh decomposition of the
+        // current graph, and `op_count` must price it.
+        fn check(s: &RemapSession, op_count: usize, devices: usize, when: &str) {
+            let got: Vec<Vec<NodeId>> = s.candidates().iter().map(<[NodeId]>::to_vec).collect();
+            assert_eq!(got, build_subgraphs(s.graph(), s.cfg.strategy), "{when}");
+            assert_eq!(op_count, s.candidates().len() * devices, "{when}");
+        }
+        let req = session_request(26, 31);
+        let m = req.platform.device_count();
+        let mut s = RemapSession::open(&req, None).expect("open");
+        let noop = s.remap(&[]).expect("noop");
+        check(&s, noop.op_count, m, "open");
+
+        let warm = s
+            .remap(&[Perturbation::TaskFinished(vec![NodeId(3)])])
+            .expect("finish");
+        assert!(warm.warm && warm.graph_rebuilt);
+        check(&s, warm.op_count, m, "graph-changing remap");
+
+        let lost = non_default_device(&req.platform, s.incumbent());
+        let unchanged = s
+            .remap_full(&[Perturbation::DeviceLost(lost)])
+            .expect("full, same graph");
+        assert!(!unchanged.graph_rebuilt);
+        check(&s, unchanged.op_count, m - 1, "remap_full, same graph");
+
+        let n = s.graph().node_count();
+        let full = s
+            .remap_full(&[Perturbation::TaskArrived {
+                subgraph: random_sp_graph(&SpGenConfig::new(5, 41)),
+                attach: vec![AttachEdge::Into {
+                    from: NodeId((n - 1) as u32),
+                    to_new: 0,
+                    bytes: 1e6,
+                }],
+            }])
+            .expect("full, new graph");
+        assert!(!full.warm && full.graph_rebuilt);
+        check(&s, full.op_count, m - 1, "remap_full, new graph");
+
+        s.rebuild().expect("rebuild");
+        let noop = s.remap(&[]).expect("noop");
+        check(&s, noop.op_count, m - 1, "rebuild");
     }
 
     #[test]

@@ -21,20 +21,35 @@
 //! over `k` distinct graphs) would reuse a wrong-but-deterministic
 //! table — the same trade the mapping memo already makes.
 //!
+//! An artifact may also carry the request's [`CandidateSet`] — the
+//! candidate subgraphs its decomposition strategy derives from the
+//! graph ([`EvalArtifact::with_candidates`]).  The set depends on the
+//! strategy as well as the graph, so attaching it re-keys the artifact
+//! through [`candidate_artifact_key`], which chains a *strategy tag*
+//! onto the table key.  The tag is the caller's injective encoding of
+//! the whole strategy (single-node vs series-parallel, the cut policy,
+//! a random cut policy's seed): for a fixed table key, distinct tags
+//! give distinct keys, so two strategies on one graph never share an
+//! artifact, and a strategy can never be handed another's set.
+//!
 //! ## Eviction
 //!
 //! [`ArtifactCache`] is a byte-budgeted LRU in the mold of the engine's
 //! `BoundedMemo`: entries carry a monotone use stamp and eviction drops
 //! the stalest entries until the budget holds (always keeping the entry
 //! just inserted, so a single oversized artifact still serves its
-//! request).  Storage is a plain `Vec` scanned linearly — the cache
-//! holds at most a few dozen distinct (graph, platform) builds, the
-//! `u128` key compare is trivial next to a table build, and a `Vec`
-//! keeps iteration deterministic without hash-order pragmas.
+//! request).  An attached candidate set counts in
+//! [`EvalArtifact::approx_bytes`], so the one byte budget governs it
+//! too; its flat [`CandidateSet`] layout (one offset array, one node
+//! array) keeps that cost near the payload.  Storage is a plain `Vec`
+//! scanned linearly — the cache holds at most a few dozen distinct
+//! (graph, platform) builds, the `u128` key compare is trivial next to
+//! a table build, and a `Vec` keeps iteration deterministic without
+//! hash-order pragmas.
 
 use std::sync::Arc;
 
-use spmap_graph::TaskGraph;
+use spmap_graph::{NodeId, TaskGraph};
 
 use crate::eval::{EvalTables, Numbering};
 use crate::fingerprint::{graph_fingerprint, platform_fingerprint};
@@ -84,14 +99,98 @@ pub fn masked_artifact_key(base: u128, available_mask: u64, device_count: usize)
         .wrapping_mul(0x8bb8_4b93_962e_acc9_d192_ed03_d1b5_4a33)
 }
 
+/// Re-key a table key ([`artifact_key`]) for an artifact that also
+/// carries a candidate set built under the strategy `tag` encodes.  For
+/// a fixed `base`, the map `tag -> key` is injective: the final
+/// multiplier is odd, so it is a bijection on `u128`.
+pub fn candidate_artifact_key(base: u128, tag: u128) -> u128 {
+    base.rotate_left(43)
+        .wrapping_mul(0x8bb8_4b93_962e_acc9_d192_ed03_d1b5_4a33)
+        .wrapping_add(tag)
+        .wrapping_mul(0x2d35_8dcc_aa6c_78a5_f4a7_c159_9e37_79b9)
+}
+
+/// A candidate subgraph set in a flat layout: subgraph `i` is
+/// `nodes[offsets[i]..offsets[i + 1]]`.  Two allocations in total,
+/// instead of one `Vec` per subgraph, so a cached set costs its payload
+/// and little more.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CandidateSet {
+    /// `len() + 1` monotone offsets into `nodes`, starting at 0.
+    offsets: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl CandidateSet {
+    /// Flatten a nested subgraph list, keeping its order.
+    ///
+    /// # Panics
+    ///
+    /// If the total node count does not fit a `u32` offset.
+    pub fn from_nested<S: AsRef<[NodeId]>>(subgraphs: &[S]) -> Self {
+        let total: usize = subgraphs.iter().map(|s| s.as_ref().len()).sum();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "candidate set of {total} node entries overflows u32 offsets"
+        );
+        let mut offsets = Vec::with_capacity(subgraphs.len() + 1);
+        let mut nodes = Vec::with_capacity(total);
+        offsets.push(0);
+        for s in subgraphs {
+            nodes.extend_from_slice(s.as_ref());
+            offsets.push(nodes.len() as u32);
+        }
+        Self { offsets, nodes }
+    }
+
+    /// Number of subgraphs.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `true` if the set holds no subgraph.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The subgraphs in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.nodes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Heap bytes of the two arrays (their lengths, not capacities).
+    pub fn payload_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.nodes.len() * std::mem::size_of::<NodeId>()
+    }
+}
+
+/// `set[i]` is the nodes of subgraph `i`.
+impl std::ops::Index<usize> for CandidateSet {
+    type Output = [NodeId];
+
+    #[inline]
+    fn index(&self, i: usize) -> &[NodeId] {
+        &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// An owned evaluation build: the graph, the platform and the
 /// [`EvalTables`] constructed from them, packaged so the borrowing
 /// tables can be shared across threads and outlive the request that
-/// built them.
+/// built them — optionally together with a strategy's candidate set
+/// ([`Self::with_candidates`]).
 pub struct EvalArtifact {
     /// Declared (and therefore dropped) before the `Arc`s below — the
     /// tables' internal references must die first.
     tables: EvalTables<'static>,
+    /// The candidate set attached by [`Self::with_candidates`]; owned
+    /// data, independent of the table loan.
+    candidates: Option<CandidateSet>,
     /// Keep-alive owners of the data `tables` borrows.  Never exposed
     /// mutably and never replaced; the artifact's accessors reborrow
     /// them at `&self` lifetime.
@@ -121,10 +220,35 @@ impl EvalArtifact {
         let tables = EvalTables::with_numbering(g, p, numbering);
         Self {
             tables,
+            candidates: None,
             graph,
             platform,
             key,
         }
+    }
+
+    /// This artifact with the candidate set `set` attached, re-keyed
+    /// under the strategy `tag` ([`candidate_artifact_key`]).  The
+    /// caller vouches that `set` is what its strategy derives from
+    /// [`Self::graph`]; the artifact stays immutable once shared.
+    ///
+    /// # Panics
+    ///
+    /// If a candidate set is already attached.
+    pub fn with_candidates(mut self, tag: u128, set: CandidateSet) -> Self {
+        assert!(
+            self.candidates.is_none(),
+            "an artifact carries at most one candidate set"
+        );
+        self.key = candidate_artifact_key(self.key, tag);
+        self.candidates = Some(set);
+        self
+    }
+
+    /// The attached candidate set, if any.
+    #[inline]
+    pub fn candidates(&self) -> Option<&CandidateSet> {
+        self.candidates.as_ref()
     }
 
     /// The shared evaluation tables, reborrowed at the artifact's
@@ -152,13 +276,16 @@ impl EvalArtifact {
         self.key
     }
 
-    /// Approximate heap footprint (tables plus graph/platform payload),
-    /// the unit of the cache budget.
+    /// Approximate heap footprint (tables, graph/platform payload and
+    /// the candidate set), the unit of the cache budget.
     pub fn approx_bytes(&self) -> usize {
         let graph_bytes = self.graph.node_count() * std::mem::size_of::<spmap_graph::Task>()
             + self.graph.edge_count() * (std::mem::size_of::<spmap_graph::Edge>() + 8);
         let platform_bytes = self.platform.device_count() * 160;
-        self.tables.table_bytes() + graph_bytes + platform_bytes
+        let candidate_bytes = self.candidates.as_ref().map_or(0, |c| {
+            std::mem::size_of::<CandidateSet>() + c.payload_bytes()
+        });
+        self.tables.table_bytes() + graph_bytes + platform_bytes + candidate_bytes
     }
 }
 
@@ -406,6 +533,77 @@ mod tests {
         assert!(cache.lookup(arts[0].key()).is_some());
         assert!(cache.lookup(arts[1].key()).is_some());
         assert!(cache.lookup(arts[3].key()).is_some());
+    }
+
+    /// Chain-graph candidate set: every node alone plus every prefix.
+    fn chain_candidates(graph: &TaskGraph) -> CandidateSet {
+        let nodes: Vec<NodeId> = graph.nodes().collect();
+        let singles = nodes.iter().map(|&v| vec![v]);
+        let prefixes = (2..=nodes.len()).map(|k| nodes[..k].to_vec());
+        CandidateSet::from_nested(&singles.chain(prefixes).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn candidate_set_flattens_in_order() {
+        let nested = vec![vec![NodeId(2)], vec![], vec![NodeId(0), NodeId(1)]];
+        let set = CandidateSet::from_nested(&nested);
+        assert_eq!(set.len(), 3);
+        assert_eq!(&set[0], &[NodeId(2)][..]);
+        assert!(set[1].is_empty());
+        assert_eq!(
+            set.iter().map(<[NodeId]>::to_vec).collect::<Vec<_>>(),
+            nested
+        );
+        assert_eq!(set.payload_bytes(), 4 * 4 + 3 * 4);
+        assert!(CandidateSet::from_nested::<Vec<NodeId>>(&[]).is_empty());
+    }
+
+    #[test]
+    fn candidates_rekey_per_tag_and_count_in_the_budget() {
+        let platform = Arc::new(Platform::reference());
+        let graph = chain_graph(10, 1.0);
+        let bare = EvalArtifact::build(
+            Arc::clone(&graph),
+            Arc::clone(&platform),
+            Numbering::PopOrder,
+        );
+        let (bare_key, bare_bytes) = (bare.key(), bare.approx_bytes());
+        let set = chain_candidates(&graph);
+        let payload = set.payload_bytes();
+        let with = bare.with_candidates(7, set.clone());
+        assert_eq!(with.candidates(), Some(&set));
+        assert_eq!(with.key(), candidate_artifact_key(bare_key, 7));
+        assert_ne!(with.key(), bare_key);
+        assert!(
+            with.approx_bytes() >= bare_bytes + payload,
+            "the set's flat payload must count in the cache budget"
+        );
+        let other = EvalArtifact::build(graph, platform, Numbering::PopOrder)
+            .with_candidates(8, CandidateSet::from_nested::<Vec<NodeId>>(&[]));
+        assert_ne!(other.key(), with.key(), "distinct tags, distinct keys");
+    }
+
+    #[test]
+    fn one_artifact_budget_with_candidates_keeps_only_the_newest() {
+        let platform = Arc::new(Platform::reference());
+        let arts: Vec<Arc<EvalArtifact>> = (0..4)
+            .map(|i| {
+                let graph = chain_graph(6 + i, 1.0);
+                let set = chain_candidates(&graph);
+                Arc::new(
+                    EvalArtifact::build(graph, Arc::clone(&platform), Numbering::PopOrder)
+                        .with_candidates(1, set),
+                )
+            })
+            .collect();
+        let mut cache = ArtifactCache::new(arts[0].approx_bytes());
+        for (i, a) in arts.iter().enumerate() {
+            cache.insert(Arc::clone(a));
+            assert_eq!(cache.len(), 1, "budget holds exactly the newest");
+            assert_eq!(cache.resident_bytes(), a.approx_bytes());
+            assert!(cache.lookup(a.key()).is_some(), "newest {i} resident");
+        }
+        assert_eq!(cache.stats().evictions, 3);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub mod platform;
 pub mod schedule;
 
 pub use artifact::{
-    artifact_key, masked_artifact_key, ArtifactCache, ArtifactCacheStats, EvalArtifact,
-    DEFAULT_ARTIFACT_BUDGET_BYTES,
+    artifact_key, candidate_artifact_key, masked_artifact_key, ArtifactCache, ArtifactCacheStats,
+    CandidateSet, EvalArtifact, DEFAULT_ARTIFACT_BUDGET_BYTES,
 };
 pub use eval::{
     relative_improvement, CheckpointSet, EvalScratch, EvalStats, EvalTables, Evaluator, Numbering,

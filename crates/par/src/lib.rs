@@ -632,7 +632,7 @@ mod tests {
     #[test]
     fn num_shards_is_positive_and_capped() {
         let n = num_shards();
-        assert!(n >= 1 && n <= MAX_SHARDS);
+        assert!((1..=MAX_SHARDS).contains(&n));
     }
 
     #[test]

@@ -12,6 +12,9 @@ use std::time::Instant;
 use spmap::prelude::*;
 use spmap::workflows::augment_ps;
 
+/// A named mapper run over the current workflow.
+type NamedRun<'a> = (&'a str, Box<dyn Fn() -> Mapping + 'a>);
+
 fn main() {
     let platform = Platform::reference();
     for (family, tasks) in [
@@ -32,7 +35,7 @@ fn main() {
             graph.edge_count(),
             cpu_only
         );
-        let algos: Vec<(&str, Box<dyn Fn() -> Mapping>)> = vec![
+        let algos: Vec<NamedRun<'_>> = vec![
             ("HEFT", Box::new(|| heft(&graph, &platform).mapping)),
             ("PEFT", Box::new(|| peft(&graph, &platform).mapping)),
             (

@@ -8,7 +8,8 @@
 //! `SPMAP_SHARDS` auto default), and every result must be bit-identical
 //! to its serial reference.  The service
 //! half pins the artifact cache (cold vs warm vs evicting — identical
-//! results) and the admission gate's invariants (`peak_inflight` never
+//! results; one artifact per subgraph strategy) and the admission
+//! gate's invariants (`peak_inflight` never
 //! exceeds the bound; zero-queue services reject instead of buffering).
 
 use std::sync::Arc;
@@ -552,4 +553,83 @@ fn close_session_racing_inflight_remap_has_exactly_two_outcomes() {
         "accounting balances: a typed UnknownSession refusal is still a \
          completed request"
     );
+}
+
+/// The artifact key covers the whole subgraph strategy.  On one
+/// almost-SP graph, every strategy — single-node, series-parallel under
+/// each cut policy, and the random policy under two seeds — maps
+/// bit-identically to a direct `decomposition_map` both cold and warm,
+/// and interleaving them leaves one resident artifact per strategy:
+/// no strategy is ever served another's candidate set.
+#[test]
+fn strategy_keyed_artifacts_are_bit_identical_and_never_shared() {
+    let sp = |cut_policy| SubgraphStrategy::SeriesParallel { cut_policy };
+    let strategies = [
+        SubgraphStrategy::SingleNode,
+        sp(CutPolicy::SmallestSubtree),
+        sp(CutPolicy::LargestSubtree),
+        sp(CutPolicy::FirstActive),
+        sp(CutPolicy::Random { seed: 3 }),
+        sp(CutPolicy::Random { seed: 4 }),
+    ];
+    let mut g = almost_sp_graph(&SpGenConfig::new(40, 77), 6);
+    augment(&mut g, &AugmentConfig::default(), 77);
+    let graph = Arc::new(g);
+    let platform = Arc::new(Platform::reference());
+    let configs: Vec<MapperConfig> = strategies
+        .iter()
+        .map(|&strategy| MapperConfig {
+            strategy,
+            ..mapper_cfg(2)
+        })
+        .collect();
+    let direct: Vec<MapperResult> = configs
+        .iter()
+        .map(|cfg| decomposition_map(&graph, &platform, cfg))
+        .collect();
+    // The sets really differ (the two random seeds included), so an
+    // artifact served to the wrong strategy shows in `subgraph_count`.
+    let mut counts: Vec<usize> = direct.iter().map(|d| d.subgraph_count).collect();
+    assert_ne!(counts[4], counts[5], "random seeds must cut differently");
+    counts.sort_unstable();
+    counts.dedup();
+    assert!(
+        counts.len() >= 5,
+        "strategies share candidate sets: {counts:?}"
+    );
+    let requests: Vec<MapRequest> = configs
+        .iter()
+        .map(|cfg| MapRequest::from_mapper_config(Arc::clone(&graph), Arc::clone(&platform), cfg))
+        .collect();
+
+    for shards in [1usize, 2] {
+        let pool = Arc::new(Pool::with_shards(shards));
+        with_pool(&pool, || {
+            let service = MapService::new(ServiceConfig::default());
+            let mut keys: Vec<u128> = Vec::new();
+            for round in 0..2 {
+                for (i, req) in requests.iter().enumerate() {
+                    let tag = format!("shards {shards}, round {round}, strategy {i}");
+                    let resp = service.map(req).expect("admitted");
+                    assert_eq!(resp.cache_hit, round == 1, "{tag}: hit/miss");
+                    let (got, want) = (&resp.result, &direct[i]);
+                    assert_mapper_identical(&tag, got, want);
+                    assert_eq!(got.subgraph_count, want.subgraph_count, "{tag}");
+                    assert_eq!(got.iterations, want.iterations, "{tag}");
+                    assert_eq!(got.batch, want.batch, "{tag}: decision counters");
+                    if round == 0 {
+                        assert!(!keys.contains(&resp.artifact_key), "{tag}: key reused");
+                        keys.push(resp.artifact_key);
+                    } else {
+                        assert_eq!(resp.artifact_key, keys[i], "{tag}: key moved");
+                    }
+                }
+            }
+            let stats = service.stats().cache;
+            let n = strategies.len() as u64;
+            assert_eq!((stats.misses, stats.hits), (n, n), "shards {shards}");
+            assert_eq!(stats.peak_entries as u64, n, "one artifact per strategy");
+            assert_eq!(stats.evictions, 0, "shards {shards}");
+        });
+    }
 }
