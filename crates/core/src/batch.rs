@@ -323,30 +323,6 @@ impl BatchStats {
     }
 }
 
-/// A multi-assignment candidate: reassign every listed node to its
-/// paired device, relative to the engine's current base mapping.
-///
-/// This generalizes the engine's original "single op: subgraph → one
-/// device" candidates — a [`DeltaOp`] may move different nodes to
-/// different devices in one candidate.  Fingerprints, FPGA-area sums
-/// and lower bounds are maintained in `O(k)` for `k` reassignments
-/// (plus their incident edges), and windowed re-simulation starts at
-/// the minimum earliest-read position over all changed nodes, per
-/// schedule.  Entries whose node already sits on the listed device are
-/// ignored; a node must appear at most once.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct DeltaOp {
-    /// The `(node, new device)` reassignments of this candidate.
-    pub changes: Vec<(NodeId, DeviceId)>,
-}
-
-impl DeltaOp {
-    /// A delta moving every node of `changes` to its paired device.
-    pub fn new(changes: Vec<(NodeId, DeviceId)>) -> Self {
-        Self { changes }
-    }
-}
-
 /// Per-worker state: an evaluation scratch plus a private mapping copy
 /// that is lazily re-synced to the engine's base mapping.
 struct Worker {
@@ -360,6 +336,8 @@ struct Worker {
 struct Pending {
     /// Position in the caller's op slice (for writing the delta back).
     slot: usize,
+    /// The operation: its subgraph and device name the moves a worker
+    /// applies, and it indexes the best-first `expected` scores.
     op: OpId,
     fp: u128,
     /// Upper bound on the achievable improvement (`+inf` when pruning is
@@ -404,7 +382,7 @@ struct CandidateSim {
 // One instance lives per engine (never in collections), so the size
 // spread between the owned tables and the borrow is irrelevant.
 #[allow(clippy::large_enum_variant)]
-pub enum TablesSource<'g> {
+enum TablesSource<'g> {
     /// Tables built by and owned by this engine.
     Owned(EvalTables<'g>),
     /// Tables shared from a longer-lived owner (e.g. a cached
@@ -476,13 +454,10 @@ pub struct CandidateBatch<'g> {
     /// Per-op improvement when last evaluated (`+inf` before the first
     /// evaluation) — the best-first scan order of `evaluate_ops`.
     expected: Vec<f64>,
-    /// Region membership stamps for O(1) "is node in candidate" tests.
+    /// Region membership stamps for O(1) "is node in candidate" tests:
+    /// `mark[v] == mark_gen` iff the current candidate moves `v` (to
+    /// the op's one device).
     mark: Vec<u64>,
-    /// Target device of each node stamped in the current candidate
-    /// region (valid only where `mark[v] == mark_gen`): single-op
-    /// candidates stamp one shared device, [`DeltaOp`] candidates stamp
-    /// one device per reassigned node.
-    target: Vec<DeviceId>,
     mark_gen: u64,
     stats: BatchStats,
     /// The engine thread's `spmap_par` dispatch counters at
@@ -492,19 +467,8 @@ pub struct CandidateBatch<'g> {
 }
 
 impl<'g> CandidateBatch<'g> {
-    /// Build the BFS-cost engine for one run: tables, the all-default
-    /// base mapping, and its aggregates.
-    pub fn new(
-        graph: &'g TaskGraph,
-        platform: &'g Platform,
-        subgraphs: Vec<Vec<NodeId>>,
-        devices: Vec<DeviceId>,
-        cfg: EngineConfig,
-    ) -> Self {
-        Self::with_cost(graph, platform, subgraphs, devices, cfg, CostModel::Bfs)
-    }
-
-    /// Build the engine for one run under an explicit cost model.  With
+    /// Build the engine for one run on its own tables, starting from
+    /// the all-default base mapping, under an explicit cost model.  With
     /// [`CostModel::Report`], every candidate is scored by the minimum
     /// makespan over the fixed schedule set, each schedule windowed from
     /// its own checkpoint trail.
@@ -534,35 +498,8 @@ impl<'g> CandidateBatch<'g> {
     /// bit-identical to one that built its own — cold and warm cache
     /// cannot diverge.
     ///
-    /// # Panics
-    ///
-    /// If `cfg.numbering` disagrees with the numbering the tables were
-    /// laid out under (a mismatched artifact would silently evaluate a
-    /// different interior order).
-    pub fn with_shared_tables(
-        tables: &'g EvalTables<'g>,
-        subgraphs: &'g CandidateSet,
-        devices: Vec<DeviceId>,
-        cfg: EngineConfig,
-        cost: CostModel,
-    ) -> Self {
-        assert_eq!(
-            cfg.numbering,
-            tables.numbering(),
-            "shared tables were built under a different numbering than the engine config"
-        );
-        Self::from_source(
-            TablesSource::Shared(tables),
-            Cow::Borrowed(subgraphs),
-            devices,
-            cfg,
-            cost,
-            None,
-        )
-    }
-
-    /// [`Self::with_shared_tables`], warm-started from an explicit base
-    /// mapping instead of the all-default one.  The engine's incremental
+    /// `base` warm-starts the search from an explicit mapping instead
+    /// of the all-default one (`None`).  The engine's incremental
     /// machinery is base-agnostic — aggregates, memo seeds and
     /// checkpoint trails are all rebuilt from whatever base it starts
     /// on — so a remapping session can resume search from an incumbent
@@ -570,34 +507,38 @@ impl<'g> CandidateBatch<'g> {
     ///
     /// # Panics
     ///
-    /// If the numberings disagree (as in [`Self::with_shared_tables`]),
-    /// if `base.len()` differs from the graph's node count, or if the
-    /// base mapping is infeasible under the tables' platform.
-    pub fn with_shared_tables_warm(
+    /// If `cfg.numbering` disagrees with the numbering the tables were
+    /// laid out under (a mismatched artifact would silently evaluate a
+    /// different interior order), if `base.len()` differs from the
+    /// graph's node count, or if the base mapping is infeasible under
+    /// the tables' platform.
+    pub fn with_shared_tables(
         tables: &'g EvalTables<'g>,
         subgraphs: &'g CandidateSet,
         devices: Vec<DeviceId>,
         cfg: EngineConfig,
         cost: CostModel,
-        base: Mapping,
+        base: Option<Mapping>,
     ) -> Self {
         assert_eq!(
             cfg.numbering,
             tables.numbering(),
             "shared tables were built under a different numbering than the engine config"
         );
-        assert_eq!(
-            base.len(),
-            tables.graph().node_count(),
-            "warm-start base mapping does not match the graph's node count"
-        );
+        if let Some(base) = &base {
+            assert_eq!(
+                base.len(),
+                tables.graph().node_count(),
+                "warm-start base mapping does not match the graph's node count"
+            );
+        }
         Self::from_source(
             TablesSource::Shared(tables),
             Cow::Borrowed(subgraphs),
             devices,
             cfg,
             cost,
-            Some(base),
+            base,
         )
     }
 
@@ -657,7 +598,6 @@ impl<'g> CandidateBatch<'g> {
             ),
             expected: vec![f64::INFINITY; op_count],
             mark: vec![0; n],
-            target: vec![DeviceId(0); n],
             mark_gen: 0,
             stats: BatchStats::default(),
             dispatch_base: spmap_par::dispatch_stats(),
@@ -917,111 +857,6 @@ impl<'g> CandidateBatch<'g> {
         deltas
     }
 
-    /// Evaluate the improvement of every multi-assignment candidate in
-    /// `deltas` against the current base mapping, in one batch — the
-    /// multi-move generalization of [`Self::evaluate_ops`].
-    ///
-    /// Returns one improvement per candidate, in input order: `cur -
-    /// makespan(base with the delta applied)`, or `NEG_INFINITY` for
-    /// no-op deltas, area-infeasible candidates and — when `prune` is
-    /// on — candidates whose lower bound proves they cannot *strictly*
-    /// beat the best improvement of this batch.  All the `evaluate_ops`
-    /// guarantees carry over: every schedule of a candidate is windowed
-    /// from the minimum earliest-read position over its changed nodes
-    /// under that schedule, ties are never pruned, and every returned
-    /// (non-pruned) improvement is bit-identical to a serial
-    /// from-scratch re-simulation of the delta.
-    pub fn evaluate_deltas(&mut self, deltas: &[DeltaOp], prune: bool) -> Vec<f64> {
-        let threshold = self.cur * REL_EPS;
-        let mut out = vec![f64::NEG_INFINITY; deltas.len()];
-        let mut pending: Vec<Pending> = Vec::with_capacity(deltas.len());
-        let mut incumbent = f64::NEG_INFINITY;
-        for (slot, delta) in deltas.iter().enumerate() {
-            match self.classify_delta(delta, prune) {
-                Verdict::Trivial => self.stats.trivial += 1,
-                Verdict::Memoized(ms) => {
-                    self.stats.memo_hits += 1;
-                    let d = self.cur - ms;
-                    out[slot] = d;
-                    if d > incumbent {
-                        incumbent = d;
-                    }
-                }
-                Verdict::Simulate {
-                    fp,
-                    bound,
-                    mask,
-                    best_known,
-                } => {
-                    // Deltas carry no persistent identity across calls,
-                    // so the best-first scan orders by the bound itself.
-                    pending.push(Pending {
-                        slot,
-                        op: slot,
-                        fp,
-                        bound,
-                        expected: bound,
-                        mask,
-                        best_known,
-                    });
-                }
-            }
-        }
-        if prune {
-            pending.sort_by(|a, b| b.expected.total_cmp(&a.expected).then(a.op.cmp(&b.op)));
-        }
-        let chunk_size = self.cfg.chunk_size.max(1);
-        let mut next = 0usize;
-        while next < pending.len() {
-            let cut = max_beatable(threshold, incumbent);
-            if prune {
-                while next < pending.len() && cannot_win(pending[next].bound, incumbent, threshold)
-                {
-                    self.stats.pruned += 1;
-                    next += 1;
-                }
-                if next >= pending.len() {
-                    break;
-                }
-            }
-            let mut end = (next + chunk_size).min(pending.len());
-            if prune {
-                while end > next + 1 && cannot_win(pending[end - 1].bound, incumbent, threshold) {
-                    end -= 1;
-                }
-            }
-            let chunk = &pending[next..end];
-            let cutoff = if prune {
-                abort_cutoff(self.cur, cut)
-            } else {
-                f64::INFINITY
-            };
-            let results = self.simulate_delta_chunk(chunk, deltas, cutoff);
-            for (p, r) in chunk.iter().zip(&results) {
-                self.stats.sched_simulated += u64::from(r.completed);
-                self.stats.sched_aborted += u64::from(r.aborted);
-                for &(s, ms) in &r.banked {
-                    self.sched_memo.insert((p.fp, s), ms);
-                }
-                if r.aborted == 0 || r.best <= cutoff {
-                    let d = self.cur - r.best;
-                    out[p.slot] = d;
-                    self.stats.simulated += 1;
-                    if self.cfg.memo {
-                        self.memo.insert(p.fp, r.best);
-                    }
-                    if d > incumbent {
-                        incumbent = d;
-                    }
-                } else {
-                    self.stats.aborted += 1;
-                }
-            }
-            next = end;
-        }
-        out
-    }
-
     /// Apply `op` permanently: update the mapping, fingerprint, load
     /// aggregates and current makespan.
     pub fn commit(&mut self, op: OpId) {
@@ -1072,7 +907,6 @@ impl<'g> CandidateBatch<'g> {
             }
             any = true;
             self.mark[v.index()] = mark_gen;
-            self.target[v.index()] = d;
             fp.toggle(v, old, d);
             if self.tables.is_fpga_device(old) {
                 area[old.index()] -= self.tables.task_area(v);
@@ -1097,7 +931,7 @@ impl<'g> CandidateBatch<'g> {
             // feasibility verdict can never diverge from it.
             let guard = 1e-12 * (1.0 + limit.abs());
             let over = if (used - limit).abs() <= guard {
-                self.exact_candidate_area(id) > limit
+                self.exact_candidate_area(id, d) > limit
             } else {
                 used > limit
             };
@@ -1134,109 +968,7 @@ impl<'g> CandidateBatch<'g> {
             }
         }
         let bound = if prune {
-            self.cur - self.candidate_lower_bound(sub.iter().map(|&v| (v, d))) * (1.0 - BOUND_SLACK)
-        } else {
-            f64::INFINITY
-        };
-        Verdict::Simulate {
-            fp: fp.value(),
-            bound,
-            mask,
-            best_known,
-        }
-    }
-
-    /// Classify one [`DeltaOp`] candidate without simulating it — the
-    /// multi-assignment generalization of [`Self::classify`], sharing
-    /// the stamped-region bookkeeping, the memos and the lower bound.
-    /// Fingerprint, area and bound maintenance are all `O(k)` in the
-    /// number of reassigned nodes (plus their incident edges).
-    ///
-    /// The post-marking tail (area guard, memo probes, schedule mask,
-    /// bound) deliberately mirrors [`Self::classify`] line for line
-    /// instead of sharing a helper: the op path borrows its subgraph
-    /// from `self.subgraphs` across the tail, so a `&mut self` helper
-    /// cannot take the moved-node iterator without an allocation on the
-    /// memo-hit fast path.  Changes to either tail must be applied to
-    /// both.
-    fn classify_delta(&mut self, delta: &DeltaOp, prune: bool) -> Verdict {
-        let dm = self.tables.device_count();
-        // Mark the changed region and fold its effects in one pass.
-        self.mark_gen += 1;
-        let mark_gen = self.mark_gen;
-        let mut fp = self.fingerprint;
-        let mut any = false;
-        let mut area = [0.0f64; 8];
-        area[..dm].copy_from_slice(&self.area_used);
-        for &(v, d) in &delta.changes {
-            // A real (non-no-op) reassignment of the same node twice
-            // would silently corrupt the fingerprint and poison the
-            // shared memo in release builds — fail loudly instead (the
-            // compare is one load against an already-hot stamp line).
-            assert!(
-                self.mark[v.index()] != mark_gen,
-                "DeltaOp reassigns node {v:?} twice"
-            );
-            let old = self.mapping.device(v);
-            if old == d {
-                continue;
-            }
-            any = true;
-            self.mark[v.index()] = mark_gen;
-            self.target[v.index()] = d;
-            fp.toggle(v, old, d);
-            if self.tables.is_fpga_device(old) {
-                area[old.index()] -= self.tables.task_area(v);
-            }
-            if self.tables.is_fpga_device(d) {
-                area[d.index()] += self.tables.task_area(v);
-            }
-        }
-        if !any {
-            return Verdict::Trivial;
-        }
-        for (dev, &used) in area.iter().enumerate().take(dm) {
-            let id = DeviceId(dev as u32);
-            if !self.tables.is_fpga_device(id) {
-                continue;
-            }
-            let limit = self.tables.area_capacity(id) + 1e-9;
-            let guard = 1e-12 * (1.0 + limit.abs());
-            let over = if (used - limit).abs() <= guard {
-                self.exact_candidate_area(id) > limit
-            } else {
-                used > limit
-            };
-            if over {
-                return Verdict::Trivial;
-            }
-        }
-        if self.cfg.memo {
-            if let Some(ms) = self.memo.get(&fp.value()) {
-                return Verdict::Memoized(ms);
-            }
-        }
-        let s_count = self.schedules.len();
-        let mut mask: u64 = u64::MAX >> (64 - s_count as u32);
-        let mut best_known = f64::INFINITY;
-        if self.cfg.memo && s_count > 1 {
-            for s in 0..s_count {
-                if let Some(ms) = self.sched_memo.get(&(fp.value(), s as u32)) {
-                    mask &= !(1 << s);
-                    self.stats.sched_memo_hits += 1;
-                    if ms < best_known {
-                        best_known = ms;
-                    }
-                }
-            }
-            if mask == 0 {
-                self.memo.insert(fp.value(), best_known);
-                return Verdict::Memoized(best_known);
-            }
-        }
-        let bound = if prune {
-            self.cur
-                - self.candidate_lower_bound(delta.changes.iter().copied()) * (1.0 - BOUND_SLACK)
+            self.cur - self.candidate_lower_bound(sub, d) * (1.0 - BOUND_SLACK)
         } else {
             f64::INFINITY
         };
@@ -1249,15 +981,15 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// FPGA area of device `dev` under the current candidate (marked
-    /// region moved to its stamped `target` devices), accumulated in
+    /// region moved to `target`, the op's device), accumulated in
     /// node-index order — the exact sequence
     /// `EvalTables::area_feasible` uses, so the result is bit-identical
     /// to what the reference path would sum.
-    fn exact_candidate_area(&self, dev: DeviceId) -> f64 {
+    fn exact_candidate_area(&self, dev: DeviceId, target: DeviceId) -> f64 {
         let mut used = 0.0f64;
         for (i, &base_d) in self.mapping.as_slice().iter().enumerate() {
             let d = if self.mark[i] == self.mark_gen {
-                self.target[i]
+                target
             } else {
                 base_d
             };
@@ -1269,12 +1001,9 @@ impl<'g> CandidateBatch<'g> {
     }
 
     /// An exact lower bound on the makespan of the candidate mapping
-    /// (base with every `(v, d_v)` of `moved` applied).  Callers must
-    /// have stamped the changed region into `self.mark`/`self.target`
-    /// with the current `mark_gen`; pairs whose node is unmarked (no-op
-    /// reassignments) are skipped.  Single-op candidates pass every node
-    /// with the same device; [`DeltaOp`] candidates pass one device per
-    /// node — the arithmetic sequence is identical in the shared case.
+    /// (base with every node of `sub` moved to `d`).  Callers must have
+    /// stamped the changed region into `self.mark` with the current
+    /// `mark_gen`; unmarked nodes (already on `d`) are skipped.
     ///
     /// Three sound components, each `≤ makespan` of *any* schedule the
     /// evaluator can produce (see docs/PERF.md for the arguments):
@@ -1282,17 +1011,14 @@ impl<'g> CandidateBatch<'g> {
     /// * temporal device load: tasks on a CPU/GPU serialize,
     /// * directed link load: transfers on one link serialize,
     /// * single-task spans: `max(max_v min_d exec, max_{v moved} exec)`.
-    fn candidate_lower_bound<I>(&self, moved: I) -> f64
-    where
-        I: Iterator<Item = (NodeId, DeviceId)> + Clone,
-    {
+    fn candidate_lower_bound(&self, sub: &[NodeId], d: DeviceId) -> f64 {
         let dm = self.tables.device_count();
         let mut dev_load = [0.0f64; 8];
         dev_load[..dm].copy_from_slice(&self.dev_load);
         let mut link_load = [0.0f64; 64];
         link_load[..dm * dm].copy_from_slice(&self.link_load);
         let mut moved_span: f64 = 0.0;
-        for (v, d) in moved.clone() {
+        for &v in sub {
             if self.mark[v.index()] != self.mark_gen {
                 continue; // already on d
             }
@@ -1314,7 +1040,7 @@ impl<'g> CandidateBatch<'g> {
                 let w = edge.dst;
                 let old_to = self.mapping.device(w);
                 let new_to = if self.mark[w.index()] == self.mark_gen {
-                    self.target[w.index()]
+                    d
                 } else {
                     old_to
                 };
@@ -1365,7 +1091,7 @@ impl<'g> CandidateBatch<'g> {
                 break;
             }
         }
-        for (v, d) in moved {
+        for &v in sub {
             if self.mark[v.index()] != self.mark_gen {
                 continue;
             }
@@ -1414,42 +1140,6 @@ impl<'g> CandidateBatch<'g> {
             let sub = &subgraphs[p.op / m];
             w.undo.clear();
             for &v in sub {
-                let old = w.mapping.device(v);
-                if old != d {
-                    w.undo.push((v, old));
-                    w.mapping.set(v, d);
-                }
-            }
-            let sim = sweep_candidate(tables, schedules, checkpoints, w, p, cutoff, bank);
-            for &(v, old) in w.undo.iter().rev() {
-                w.mapping.set(v, old);
-            }
-            sim
-        })
-    }
-
-    /// [`Self::simulate_chunk`] for [`DeltaOp`] candidates: identical
-    /// sweep machinery, but each candidate's moves come from its delta's
-    /// explicit `(node, device)` list (`Pending::op` indexes `deltas`).
-    fn simulate_delta_chunk(
-        &mut self,
-        chunk: &[Pending],
-        deltas: &[DeltaOp],
-        cutoff: f64,
-    ) -> Vec<CandidateSim> {
-        let tables = &self.tables;
-        let schedules = &self.schedules;
-        let checkpoints = &self.checkpoints;
-        let base = &self.mapping;
-        let generation = self.generation;
-        let bank = self.cfg.memo && self.schedules.len() > 1;
-        par_map_with_threads(self.threads, &mut self.workers, chunk, |w, _, p| {
-            if w.generation != generation {
-                w.mapping.copy_from(base);
-                w.generation = generation;
-            }
-            w.undo.clear();
-            for &(v, d) in &deltas[p.op].changes {
                 let old = w.mapping.device(v);
                 if old != d {
                     w.undo.push((v, old));
@@ -1548,12 +1238,13 @@ impl<'g> CandidateBatch<'g> {
 }
 
 /// Sweep the unresolved schedules (`p.mask`) of one candidate whose
-/// moves are already applied to `w.mapping` (undo log in `w.undo`):
-/// each schedule is windowed from the candidate's minimum earliest-read
-/// position over all changed nodes *under that schedule*, under the
-/// running cutoff `min(cutoff, best schedule so far)`.  Shared by the
-/// single-op and the [`DeltaOp`] simulation paths — the sweep never
-/// cares how the moves were described, only which nodes changed.
+/// moves are already applied to `w.mapping` (undo log in `w.undo`,
+/// which lists exactly the changed nodes): each schedule is windowed
+/// from the minimum earliest-read position over *all* changed nodes
+/// under that schedule — a subgraph op moves many nodes, and the
+/// window must cover every one of them (docs/PERF.md, "Windowing a
+/// multi-node move") — under the running cutoff `min(cutoff, best
+/// schedule so far)`.
 fn sweep_candidate(
     tables: &EvalTables<'_>,
     schedules: &ReportSchedules,
@@ -1690,7 +1381,7 @@ mod tests {
             .subgraphs()
             .to_vec();
         let devices: Vec<DeviceId> = p.device_ids().collect();
-        CandidateBatch::new(g, p, subgraphs, devices, cfg)
+        CandidateBatch::with_cost(g, p, subgraphs, devices, cfg, CostModel::Bfs)
     }
 
     /// Reference deltas: serial probe of every op, exactly like the seed
@@ -1863,6 +1554,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The hairline FPGA-area re-check: with the FPGA's capacity placed
+    /// so one subgraph's incremental area sum lands inside the `1e-12`
+    /// guard of the limit, `classify` re-decides feasibility with
+    /// `exact_candidate_area`.  Its verdict must equal
+    /// `EvalTables::area_feasible` on the moved mapping, and every delta
+    /// must equal the serial reference probe.  The capacity is nudged a
+    /// few ulps either way so both verdicts occur.
+    #[test]
+    fn hairline_fpga_area_is_re_decided_exactly() {
+        let (g, reference_platform) = setup(7);
+        let subgraphs = series_parallel_subgraphs(&g, CutPolicy::default())
+            .subgraphs()
+            .to_vec();
+        let fpga = reference_platform
+            .device_ids()
+            .find(|&d| reference_platform.is_fpga(d))
+            .expect("the reference platform has an FPGA");
+        let si = subgraphs
+            .iter()
+            .position(|s| s.len() >= 4)
+            .expect("a subgraph of at least four nodes");
+        let sub = &subgraphs[si];
+        let mut moved = Mapping::all_default(&g, &reference_platform);
+        for &v in sub {
+            moved.set(v, fpga);
+        }
+        // The evaluator's node-order sum and `classify`'s subgraph-order
+        // sum (the base mapping is all-CPU, so the FPGA starts empty).
+        let exact = moved.area_on(&g, &reference_platform, fpga);
+        let incremental = sub.iter().fold(0.0f64, |a, &v| a + g.task(v).area);
+        let mut verdicts = Vec::new();
+        for nudge in -3i64..=3 {
+            let cap = f64::from_bits(((exact - 1e-9).to_bits() as i64 + nudge) as u64);
+            let limit = cap + 1e-9;
+            assert!(
+                (incremental - limit).abs() <= 1e-12 * (1.0 + limit.abs()),
+                "nudge {nudge}: the incremental sum must land inside the guard"
+            );
+            let mut p = reference_platform.clone();
+            if let spmap_model::DeviceSpec::Fpga { area_capacity, .. } =
+                &mut p.device_mut(fpga).spec
+            {
+                *area_capacity = cap;
+            }
+            let exact_only = EngineConfig {
+                threads: Some(2),
+                memo: false,
+                prune: false,
+                ..EngineConfig::default()
+            };
+            let mut eng = engine(&g, &p, exact_only);
+            let op = si * eng.devices().len() + fpga.index();
+            assert_eq!(eng.op_parts(op), (sub.as_slice(), fpga));
+            let feasible = eng.tables().area_feasible(&moved);
+            let trivial = matches!(eng.classify(op, false), Verdict::Trivial);
+            assert_eq!(trivial, !feasible, "nudge {nudge}: area verdict");
+            verdicts.push(feasible);
+
+            let ops: Vec<OpId> = (0..eng.op_count()).collect();
+            let reference = reference_deltas(&g, &p, &eng);
+            assert_eq!(reference[op] == f64::NEG_INFINITY, !feasible);
+            assert_eq!(eng.evaluate_ops(&ops, false), reference, "nudge {nudge}");
+
+            let mut pruning = engine(&g, &p, EngineConfig::default());
+            let pruned = pruning.evaluate_ops(&ops, true);
+            for (i, (&a, &b)) in pruned.iter().zip(&reference).enumerate() {
+                assert!(
+                    a == b || a == f64::NEG_INFINITY,
+                    "op {i} nudge {nudge}: pruned {a} vs reference {b}"
+                );
+            }
+            if !feasible {
+                assert_eq!(pruned[op], f64::NEG_INFINITY);
+            }
+        }
+        assert!(
+            verdicts.contains(&true) && verdicts.contains(&false),
+            "the nudges must straddle the limit: {verdicts:?}"
+        );
     }
 
     fn report_engine<'g>(
@@ -2062,175 +1834,6 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2], "stats and deltas thread-invariant");
-    }
-
-    /// Deterministic multi-assignment deltas over a graph: mixes
-    /// single-node moves, multi-node single-device moves and genuinely
-    /// multi-device reassignments (different nodes to different
-    /// devices), plus no-op entries.
-    fn delta_zoo(g: &TaskGraph, p: &Platform) -> Vec<DeltaOp> {
-        let n = g.node_count() as u32;
-        let dm = p.device_count() as u32;
-        let mut deltas = Vec::new();
-        for t in 0..24u32 {
-            let k = 1 + (t % 4) as usize;
-            let changes: Vec<(NodeId, DeviceId)> = (0..k)
-                .map(|j| {
-                    let v = (t.wrapping_mul(13).wrapping_add(j as u32 * 29)) % n;
-                    let d = (t + j as u32) % dm;
-                    (NodeId(v), DeviceId(d))
-                })
-                .collect();
-            // A node may repeat across deltas but not within one.
-            let mut seen = Vec::new();
-            let changes: Vec<_> = changes
-                .into_iter()
-                .filter(|&(v, _)| {
-                    if seen.contains(&v) {
-                        false
-                    } else {
-                        seen.push(v);
-                        true
-                    }
-                })
-                .collect();
-            deltas.push(DeltaOp::new(changes));
-        }
-        deltas.push(DeltaOp::default()); // empty: trivially a no-op
-        deltas
-    }
-
-    /// Reference improvements: serial probe of every delta against the
-    /// engine's base mapping, exactly like the seed inner loop would.
-    fn reference_delta_improvements(
-        g: &TaskGraph,
-        p: &Platform,
-        eng: &CandidateBatch<'_>,
-        deltas: &[DeltaOp],
-    ) -> Vec<f64> {
-        let mut ev = Evaluator::new(g, p);
-        let mut mapping = eng.mapping().clone();
-        let cur = eng.current_makespan();
-        deltas
-            .iter()
-            .map(|delta| {
-                let undo: Vec<(NodeId, DeviceId)> = delta
-                    .changes
-                    .iter()
-                    .filter_map(|&(v, d)| {
-                        let old = mapping.device(v);
-                        (old != d).then_some((v, old))
-                    })
-                    .collect();
-                if undo.is_empty() {
-                    return f64::NEG_INFINITY;
-                }
-                for &(v, d) in &delta.changes {
-                    mapping.set(v, d);
-                }
-                let imp = match ev.makespan_bfs(&mapping) {
-                    Some(ms) => cur - ms,
-                    None => f64::NEG_INFINITY,
-                };
-                for &(v, old) in undo.iter().rev() {
-                    mapping.set(v, old);
-                }
-                imp
-            })
-            .collect()
-    }
-
-    #[test]
-    fn unpruned_delta_batch_matches_serial_probe_bitwise() {
-        for seed in [1u64, 6, 12] {
-            let (g, p) = setup(seed);
-            let mut eng = engine(
-                &g,
-                &p,
-                EngineConfig {
-                    threads: Some(4),
-                    memo: false,
-                    prune: false,
-                    ..EngineConfig::default()
-                },
-            );
-            let deltas = delta_zoo(&g, &p);
-            let batch = eng.evaluate_deltas(&deltas, false);
-            let reference = reference_delta_improvements(&g, &p, &eng, &deltas);
-            assert_eq!(batch, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn pruned_delta_batch_preserves_the_winning_candidate() {
-        for seed in [3u64, 9] {
-            let (g, p) = setup(seed);
-            let mut eng = engine(
-                &g,
-                &p,
-                EngineConfig {
-                    threads: Some(4),
-                    ..Default::default()
-                },
-            );
-            let deltas = delta_zoo(&g, &p);
-            let pruned = eng.evaluate_deltas(&deltas, true);
-            let reference = reference_delta_improvements(&g, &p, &eng, &deltas);
-            let threshold = eng.current_makespan() * REL_EPS;
-            let pick = |d: &[f64]| {
-                d.iter().enumerate().filter(|(_, &x)| x > threshold).fold(
-                    None::<(usize, f64)>,
-                    |best, (i, &x)| {
-                        if best.is_none_or(|(_, b)| x > b) {
-                            Some((i, x))
-                        } else {
-                            best
-                        }
-                    },
-                )
-            };
-            assert_eq!(pick(&pruned), pick(&reference), "seed {seed}");
-            for (i, (&a, &b)) in pruned.iter().zip(&reference).enumerate() {
-                if a != f64::NEG_INFINITY {
-                    assert_eq!(a, b, "delta {i} seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_batch_memoizes_and_commits_interoperate() {
-        // Deltas and single ops share the memos: evaluating the single
-        // ops first must answer matching deltas from the memo.
-        let (g, p) = setup(4);
-        let mut eng = engine(
-            &g,
-            &p,
-            EngineConfig {
-                threads: Some(2),
-                ..Default::default()
-            },
-        );
-        let ops: Vec<OpId> = (0..eng.op_count()).collect();
-        let op_deltas = eng.evaluate_ops(&ops, false);
-        // Build deltas mirroring the first few ops exactly.
-        let deltas: Vec<DeltaOp> = ops
-            .iter()
-            .take(12)
-            .map(|&op| {
-                let (sub, d) = eng.op_parts(op);
-                DeltaOp::new(sub.iter().map(|&v| (v, d)).collect())
-            })
-            .collect();
-        let hits_before = eng.stats().memo_hits;
-        let got = eng.evaluate_deltas(&deltas, false);
-        assert!(
-            eng.stats().memo_hits > hits_before,
-            "op-path results must answer identical deltas"
-        );
-        for (i, (&a, &b)) in got.iter().zip(&op_deltas).enumerate() {
-            assert_eq!(a, b, "delta {i} disagrees with its op twin");
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! every replay.  The module reads no clocks and iterates no hash
 //! maps; `FaultSchedule` is a splitmix64 stream of the seed alone.
 //!
-//! Arming returns a [`FaultArm`] guard that holds a global registry
+//! Arming returns a `FaultArm` guard that holds a global registry
 //! lock, so concurrent tests arming faults serialize instead of
 //! clobbering each other's schedules; dropping the guard disarms.
 

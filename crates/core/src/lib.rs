@@ -49,10 +49,7 @@ pub mod service;
 pub mod session;
 pub mod threshold;
 
-pub use batch::{
-    BatchStats, CandidateBatch, DeltaOp, EngineConfig, TablesSource, DEFAULT_MEMO_CAPACITY,
-    MAX_SCHEDULES,
-};
+pub use batch::{BatchStats, CandidateBatch, EngineConfig, DEFAULT_MEMO_CAPACITY, MAX_SCHEDULES};
 pub use faults::{FaultKind, FaultSchedule, FaultSite, INJECTED_PANIC_PREFIX};
 pub use mapper::{
     decomposition_map, decomposition_map_reference, try_decomposition_map,

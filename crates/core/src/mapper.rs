@@ -329,6 +329,7 @@ pub(crate) fn try_decomposition_map_on_artifact(
         devices,
         cfg.engine,
         cfg.cost,
+        None,
     );
     drive_search(engine, cfg)
 }

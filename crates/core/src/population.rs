@@ -89,7 +89,7 @@ pub struct PopulationConfig {
     /// Fitness-memo entry cap (generation-stamped LRU; `0` = unbounded).
     pub memo_capacity: usize,
     /// Trail-cache slot cap (LRU; `0` = the memory-budget heuristic
-    /// [`trail_cache_cap`] — ~64 MB of snapshots, clamped to
+    /// `trail_cache_cap` — ~64 MB of snapshots, clamped to
     /// `[16, 256]` slots).  Eviction can never change a result.
     pub trail_cache_capacity: usize,
     /// Evaluation-order policy (see [`EvalOrder`]).

@@ -19,9 +19,9 @@
 //!    operation targeting the restored device).
 //! 3. **Search** greedily over that neighborhood only, through the same
 //!    windowed [`CandidateBatch`] engine as a full run — but
-//!    warm-started on the repaired incumbent
-//!    ([`CandidateBatch::with_shared_tables_warm`]), so unaffected
-//!    regions of a large graph are never re-examined.
+//!    warm-started on the repaired incumbent (the `base` of
+//!    [`CandidateBatch::with_shared_tables`]), so unaffected regions of
+//!    a large graph are never re-examined.
 //!
 //! [`RemapSession::remap_full`] keeps the from-scratch re-map as the
 //! executable-spec fallback (same patched inputs, all-default start,
@@ -409,13 +409,13 @@ impl RemapSession {
         }
 
         let (mapping, makespan, warm_start, iterations, history, batch) = {
-            let mut engine = CandidateBatch::with_shared_tables_warm(
+            let mut engine = CandidateBatch::with_shared_tables(
                 artifact.tables(),
                 subgraphs,
                 devices,
                 self.cfg.engine,
                 self.cfg.cost,
-                c.incumbent.clone(),
+                Some(c.incumbent.clone()),
             );
             let warm_start = engine.current_makespan();
             let cap = self

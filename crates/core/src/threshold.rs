@@ -33,7 +33,7 @@
 //! engine's content-keyed memo and answer later evaluations of the same
 //! mapping for free.
 //!
-//! The wave depth `W` is **adaptive** ([`WaveController`]): it grows
+//! The wave depth `W` is **adaptive** (`WaveController`): it grows
 //! while recent waves are consumed in full (the look-ahead cutoff rarely
 //! fires, so deeper speculation turns into pure parallelism) and shrinks
 //! while most speculated results are being discarded (the cutoff fires

@@ -264,16 +264,17 @@ struct EngineIndividual {
     fp: MappingFingerprint,
 }
 
-/// Run an [`Algo::Ga`](spmap_core::Algo::Ga) [`MapRequest`] through the
-/// engine-backed NSGA-II mapper — the GA half of the unified request
-/// surface (`spmap_core::map_request` handles the decomposition
-/// families and refuses this one, pointing here).
+/// Run an [`Algo::Ga`](spmap_core::Algo::Ga)
+/// [`MapRequest`](spmap_core::MapRequest) through the engine-backed
+/// NSGA-II mapper — the GA half of the unified request surface
+/// (`spmap_core::map_request` handles the decomposition families and
+/// refuses this one, pointing here).
 ///
 /// The request's [`GaParams`](spmap_core::GaParams) name the algorithm;
-/// engine-side knobs (threads, numbering, checkpoint layout/budget)
-/// come from `limits.engine`, and the remaining `GaConfig` fields keep
-/// their defaults.  Bit-identical to [`nsga2_map`] with the equivalent
-/// `GaConfig`.
+/// engine-side knobs (threads, memo capacity, numbering, checkpoint
+/// layout/budget) come from `limits.engine`, and the remaining
+/// `GaConfig` fields keep their defaults.  Bit-identical to
+/// [`nsga2_map`] with the equivalent `GaConfig`.
 ///
 /// `limits.devices` restrictions are not supported by the genome
 /// encoding (it spans every platform device) and are refused with
@@ -298,6 +299,7 @@ pub fn nsga2_map_request(
         mutation_rate: p.mutation_rate,
         seed: p.seed,
         threads: req.limits.engine.threads,
+        memo_capacity: req.limits.engine.memo_capacity,
         numbering: req.limits.engine.numbering,
         dense_checkpoints: req.limits.engine.dense_checkpoints,
         checkpoint_budget_bytes: req.limits.engine.checkpoint_budget_bytes,
@@ -858,6 +860,28 @@ mod tests {
             nsga2_map_request(&decomp),
             Err(MapperError::UnsupportedAlgo { .. })
         ));
+
+        // The caller's memo cap reaches the GA's fitness memo.
+        let mut capped = req.clone();
+        capped.limits.engine.memo_capacity = 8;
+        let via = nsga2_map_request(&capped).expect("GA requests route here");
+        let direct = nsga2_map(
+            &g,
+            &p,
+            &GaConfig {
+                memo_capacity: 8,
+                ..cfg.clone()
+            },
+        );
+        assert!(
+            via.engine.memo_peak <= 8,
+            "memo above the request's cap: {:?}",
+            via.engine
+        );
+        assert_eq!(via.mapping, direct.mapping);
+        assert_eq!(via.makespan, direct.makespan);
+        assert_eq!(via.best_per_generation, direct.best_per_generation);
+        assert_eq!(via.engine, direct.engine);
 
         let mut restricted = req.clone();
         restricted.limits.devices = Some(vec![p.default_device()]);

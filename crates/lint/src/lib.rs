@@ -8,23 +8,23 @@
 //! on; this tool enforces the underlying source discipline on every
 //! line of the workspace, in CI (see `docs/DETERMINISM.md`):
 //!
-//! * [`unsafe-needs-safety-comment`] — every `unsafe` token must be
+//! * \[`unsafe-needs-safety-comment`\] — every `unsafe` token must be
 //!   preceded by a `// SAFETY:` comment (or a `# Safety` doc section)
 //!   stating the invariant that makes it sound.
-//! * [`no-unordered-iteration`] — iterating a `HashMap`/`HashSet`
+//! * \[`no-unordered-iteration`\] — iterating a `HashMap`/`HashSet`
 //!   (`iter`, `keys`, `values`, `drain`, `retain`, `for … in`) is
 //!   forbidden in non-test code: iteration order is randomized per
 //!   instance, so any order-dependent use silently breaks determinism
 //!   in a way the equivalence matrix can only catch probabilistically.
-//! * [`no-env-outside-config`] — `std::env::var`/`var_os` is confined
+//! * \[`no-env-outside-config`\] — `std::env::var`/`var_os` is confined
 //!   to the sanctioned parse helpers (`spmap_par::num_threads` /
 //!   `num_shards` and friends in `crates/par/src/lib.rs`),
 //!   so ambient configuration can never leak into a decision path
 //!   unaudited.
-//! * [`no-wallclock-in-decisions`] — `Instant`/`SystemTime` are
+//! * \[`no-wallclock-in-decisions`\] — `Instant`/`SystemTime` are
 //!   confined to the bench harness, the criterion shim and examples;
 //!   crates whose outputs are Eq-compared must not read the clock.
-//! * [`catch-unwind-needs-containment-comment`] — every production
+//! * \[`catch-unwind-needs-containment-comment`\] — every production
 //!   `catch_unwind` must be preceded by a `// CONTAINMENT:` comment
 //!   naming the recovery policy: what state the caught unwind leaves
 //!   behind and who restores it (docs/ROBUSTNESS.md).  Test code is
